@@ -17,8 +17,11 @@ val key_of_string : string -> key
     for tests and key rings. *)
 
 val hash : key -> string -> int64
-(** SipHash-2-4 of a byte string (matches the reference test vectors). *)
+(** SipHash-2-4 of a byte string (matches the reference test vectors).
+    The state lives in unboxed locals: a call allocates only its boxed
+    [int64] result, whatever the length. *)
 
 val hash_int64s : key -> int64 list -> int64
 (** SipHash-2-4 of the little-endian concatenation of the given words;
-    used to fingerprint packet identity tuples without building strings. *)
+    used to fingerprint packet identity tuples without building strings.
+    Like {!hash}, allocates only its result. *)

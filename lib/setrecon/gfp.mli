@@ -17,6 +17,18 @@ val add : int -> int -> int
 val sub : int -> int -> int
 val neg : int -> int
 val mul : int -> int -> int
+(** Product by Mersenne reduction, without a division.  Both operands
+    must be canonical elements, as every function here returns. *)
+
+val axpy : int -> int array -> int array -> from:int -> unit
+(** [axpy k x y ~from] sets [y.(j) <- y.(j) + k * x.(j)] for every
+    [j >= from] of [y] ([x] at least as long): a row operation of
+    elimination, one reduction per element.  Operands canonical. *)
+
+val prod_sub : int -> int array -> int
+(** [prod_sub z es] is the product of [z - e] over [es]: the
+    characteristic polynomial of [es] evaluated at [z].  Operands
+    canonical. *)
 
 val inv : int -> int
 (** Multiplicative inverse; raises [Division_by_zero] on 0. *)

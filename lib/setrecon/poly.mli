@@ -49,8 +49,9 @@ val roots : ?rng:Random.State.t -> t -> int list option
 (** Find all roots of a polynomial that is expected to be a product of
     distinct linear factors (Cantor–Zassenhaus equal-degree splitting).
     Returns [None] when the polynomial does not split into
-    [degree t] distinct roots — the signal that a reconciliation bound was
-    wrong.  Deterministic for a given [rng] seed. *)
+    [degree t] distinct roots.  Deterministic for a given [rng] seed.
+    {!Reconcile} decodes by evaluation over the parties' sets instead;
+    this is the factoring it must agree with, and the tests use it so. *)
 
 val to_string : t -> string
 (** Debug rendering such as "x^2 + 3x + 1". *)

@@ -12,10 +12,7 @@ let check_universe name elements =
              universe_size))
     elements
 
-let char_evals ~elements ~points =
-  Array.map
-    (fun z -> Array.fold_left (fun acc e -> Gfp.mul acc (Gfp.sub z e)) 1 elements)
-    points
+let char_evals ~elements ~points = Array.map (fun z -> Gfp.prod_sub z elements) points
 
 let sample_points n = Array.init n (fun i -> Gfp.p - 1 - i)
 
@@ -28,23 +25,22 @@ type result = {
 
 let check_points = 8
 
-(* Membership tables for the acceptance test. *)
-let table_of elements =
-  let h = Hashtbl.create (Array.length elements * 2) in
-  Array.iter (fun e -> Hashtbl.replace h e ()) elements;
-  h
+(* The distinct elements of [own] that are roots of the nonzero [f],
+   sorted, when there are exactly [degree f] of them and none lies in
+   [other].  A nonzero polynomial has at most [degree f] roots, so this
+   accepts exactly when [f] splits into distinct linear factors whose
+   roots all lie in [own] and not in [other] — the decision of
+   [Poly.roots] followed by the membership test, without factoring. *)
+let roots_in f ~own ~other =
+  let found = ref [] in
+  Array.iter (fun e -> if Poly.eval f e = 0 then found := e :: !found) own;
+  let roots = List.sort_uniq compare !found in
+  if List.length roots = Poly.degree f
+     && not (List.exists (fun r -> Array.exists (fun e -> e = r) other) roots)
+  then Some roots
+  else None
 
-let verify_candidate ~ha ~hb ~d roots_p roots_q =
-  let sorted_distinct xs =
-    let s = List.sort_uniq compare xs in
-    List.length s = List.length xs
-  in
-  sorted_distinct roots_p && sorted_distinct roots_q
-  && List.for_all (fun r -> Hashtbl.mem ha r && not (Hashtbl.mem hb r)) roots_p
-  && List.for_all (fun r -> Hashtbl.mem hb r && not (Hashtbl.mem ha r)) roots_q
-  && List.length roots_p - List.length roots_q = d
-
-let attempt_with_bound rng ~bound ~a ~b ~ha ~hb =
+let attempt_with_bound ~bound ~a ~b =
   let d = Array.length a - Array.length b in
   let bound = max bound (abs d) in
   (* The numerator/denominator degrees must differ by exactly d and sum to
@@ -99,35 +95,39 @@ let attempt_with_bound rng ~bound ~a ~b ~ha ~hb =
       done;
       if not !ok then None
       else begin
-        match (Poly.roots ~rng p, Poly.roots ~rng q) with
-        | Some rp, Some rq when verify_candidate ~ha ~hb ~d rp rq ->
-            Some
-              { a_minus_b = List.sort compare rp;
-                b_minus_a = List.sort compare rq;
-                evals_used = npoints;
-                attempts = 1 }
-        | _ -> None
+        match roots_in p ~own:a ~other:b with
+        | None -> None
+        | Some a_minus_b -> (
+            match roots_in q ~own:b ~other:a with
+            | None -> None
+            | Some b_minus_a ->
+                Some { a_minus_b; b_minus_a; evals_used = npoints; attempts = 1 })
       end
 
-let default_rng () = Random.State.make [| 0x7ec0; 0x11e |]
-
-let diff_with_bound ?rng ~bound ~a ~b () =
+let diff_with_bound ?rng:_ ~bound ~a ~b () =
   check_universe "diff_with_bound" a;
   check_universe "diff_with_bound" b;
-  let rng = match rng with Some r -> r | None -> default_rng () in
-  attempt_with_bound rng ~bound ~a ~b ~ha:(table_of a) ~hb:(table_of b)
+  attempt_with_bound ~bound ~a ~b
 
-let diff ?rng ?(max_bound = 1024) ~a ~b () =
+let diff ?rng:_ ?(max_bound = 1024) ~a ~b () =
   check_universe "diff" a;
   check_universe "diff" b;
-  let rng = match rng with Some r -> r | None -> default_rng () in
-  let ha = table_of a and hb = table_of b in
-  let rec loop bound attempts =
+  let d = abs (Array.length a - Array.length b) in
+  (* An attempt is a deterministic function of the clamped bound
+     [max bound d], and the clamped bounds never decrease, so one that
+     failed is remembered and skipped (still counted) while doubling
+     has not yet passed it. *)
+  let rec loop bound attempts failed =
     if bound > max_bound then None
     else begin
-      match attempt_with_bound rng ~bound ~a ~b ~ha ~hb with
+      let clamped = max bound d in
+      let outcome =
+        if clamped = failed then None
+        else attempt_with_bound ~bound:clamped ~a ~b
+      in
+      match outcome with
       | Some r -> Some { r with attempts }
-      | None -> loop (bound * 2) (attempts + 1)
+      | None -> loop (bound * 2) (attempts + 1) clamped
     end
   in
-  loop 8 1
+  loop 8 1 (-1)

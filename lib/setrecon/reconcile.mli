@@ -35,17 +35,31 @@ type result = {
   a_minus_b : int list;  (** elements held by A and not B, sorted *)
   b_minus_a : int list;  (** elements held by B and not A, sorted *)
   evals_used : int;      (** evaluations transmitted per direction *)
-  attempts : int;        (** doubling rounds until the bound sufficed *)
+  attempts : int;        (** doubling steps until the bound sufficed *)
 }
 
 val diff_with_bound :
   ?rng:Random.State.t -> bound:int -> a:int array -> b:int array -> unit -> result option
 (** Reconcile assuming the symmetric difference has at most [bound]
-    elements; [None] if the bound is too small (detected by check-point
-    verification and root-splitting failure). Raises [Invalid_argument]
-    if some element falls outside the universe. *)
+    elements; a bound below [|d|], where [d = |a| - |b|], is raised to
+    it.  [None] if the bound is too small, detected by check-point
+    verification and by decoding: the recovered numerator must have
+    exactly its degree's worth of distinct roots among [a] (none of them
+    in [b]), and the denominator likewise among [b].  Raises
+    [Invalid_argument] if some element falls outside the universe.
+    Decoding is deterministic: [rng] is accepted for compatibility and
+    not used. *)
 
 val diff :
   ?rng:Random.State.t -> ?max_bound:int -> a:int array -> b:int array -> unit -> result option
 (** Reconcile with geometric bound doubling starting at 8 (default
-    [max_bound] 1024). [None] if the difference exceeds [max_bound]. *)
+    [max_bound] 1024).  Each attempt runs at the clamped bound
+    [max bound |d|], where [d = |a| - |b|]; a clamped bound that has
+    failed is not run again, but each doubling step still counts in
+    [attempts].  The [max_bound] test applies to the unclamped bound, so
+    when [|d| > max_bound] one attempt is still made, at bound [|d|].
+    [None] once doubling passes [max_bound] without success.  So a
+    symmetric difference larger than both [max_bound] and [|d|] gives
+    [None], while one of exactly [|d| > max_bound] elements (one set
+    contains the other) is still recovered.  [rng] is not used, as for
+    {!diff_with_bound}. *)

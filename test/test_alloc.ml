@@ -175,6 +175,31 @@ let test_span_recycling () =
     (Printf.sprintf "recycled residual %.2f w/hop under 10.0" recycled)
     true (recycled < 10.0)
 
+(* The per-packet fingerprint kernel keeps its state unboxed: a call
+   allocates only its boxed [int64] result (3 words: header, custom
+   operations, payload).  Boxed state costs hundreds of words per call,
+   so a regression fails by a wide margin on any host. *)
+let test_siphash_allocates_only_result () =
+  let key = Crypto_sim.Siphash.key_of_string "alloc" in
+  let s40 = String.make 40 'a' and s1500 = String.make 1500 'b' in
+  let words = List.init 7 Int64.of_int in
+  let result_words = 3.0 in
+  let n = 1000 in
+  let per_call name f =
+    ignore (Sys.opaque_identity (f ()));
+    let m0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let w = (Gc.minor_words () -. m0) /. float_of_int n in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words/call <= %.0f" name w result_words)
+      true (w <= result_words)
+  in
+  per_call "hash 40 B" (fun () -> Crypto_sim.Siphash.hash key s40);
+  per_call "hash 1500 B" (fun () -> Crypto_sim.Siphash.hash key s1500);
+  per_call "hash_int64s 7 words" (fun () -> Crypto_sim.Siphash.hash_int64s key words)
+
 let () =
   Alcotest.run "alloc"
     [ ( "budget",
@@ -183,7 +208,9 @@ let () =
           Alcotest.test_case "pooling inert when observed" `Quick
             test_pool_inert_when_observed;
           Alcotest.test_case "span recycling after ring wrap" `Quick
-            test_span_recycling ] );
+            test_span_recycling;
+          Alcotest.test_case "siphash allocates only its result" `Quick
+            test_siphash_allocates_only_result ] );
       ( "poison",
         [ Alcotest.test_case "use-after-free and double release" `Quick
             test_poison_catches_use_after_free;

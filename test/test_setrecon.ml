@@ -268,6 +268,283 @@ let prop_reconcile_random =
           r.Reconcile.a_minus_b = S.elements (S.diff sa sb)
           && r.Reconcile.b_minus_a = S.elements (S.diff sb sa))
 
+(* --- Differential checks against the reference decoder ---
+
+   The library decodes by forward elimination and by evaluating the
+   recovered polynomials over each party's own set, and it skips a
+   clamped bound that has already failed.  The reference below is the
+   straightforward version those replace: Gauss–Jordan reduction,
+   Cantor–Zassenhaus root finding ([Poly.roots]) and a membership check
+   of the roots against both sets, one attempt per doubling step.  The
+   two must agree on every field of every result, [None] included.
+   Field arithmetic in the reference is [a * b mod p]. *)
+
+let ref_mul a b = a * b mod Gfp.p
+let ref_sub a b = Gfp.of_int (a - b)
+
+(* Gauss–Jordan: full reduction, pivots normalized, free variables 0. *)
+let ref_solve m rhs =
+  let rows = Array.length m in
+  if rows = 0 then Some [||]
+  else begin
+    let cols = Array.length m.(0) in
+    let a = Array.map Array.copy m and b = Array.copy rhs in
+    let pivot_col = Array.make rows (-1) in
+    let row = ref 0 and col = ref 0 in
+    while !row < rows && !col < cols do
+      let r0 = !row and c = !col in
+      match List.find_opt (fun r -> a.(r).(c) <> 0) (List.init (rows - r0) (( + ) r0)) with
+      | None -> incr col
+      | Some pr ->
+          let t = a.(pr) in
+          a.(pr) <- a.(r0);
+          a.(r0) <- t;
+          let t = b.(pr) in
+          b.(pr) <- b.(r0);
+          b.(r0) <- t;
+          let inv = Gfp.inv a.(r0).(c) in
+          a.(r0) <- Array.map (fun v -> ref_mul v inv) a.(r0);
+          b.(r0) <- ref_mul b.(r0) inv;
+          for r = 0 to rows - 1 do
+            let f = a.(r).(c) in
+            if r <> r0 && f <> 0 then begin
+              a.(r) <- Array.mapi (fun j v -> ref_sub v (ref_mul f a.(r0).(j))) a.(r);
+              b.(r) <- ref_sub b.(r) (ref_mul f b.(r0))
+            end
+          done;
+          pivot_col.(r0) <- c;
+          incr row;
+          incr col
+    done;
+    let rank = !row in
+    if List.exists (fun r -> b.(r) <> 0) (List.init (rows - rank) (( + ) rank)) then None
+    else begin
+      let x = Array.make cols 0 in
+      for r = 0 to rank - 1 do
+        x.(pivot_col.(r)) <- b.(r)
+      done;
+      Some x
+    end
+  end
+
+let ref_attempt ~bound ~a ~b =
+  let d = Array.length a - Array.length b in
+  let bound = max bound (abs d) in
+  let total = if (bound - d) mod 2 <> 0 then bound + 1 else bound in
+  let m1 = (total + d) / 2 and m2 = (total - d) / 2 in
+  let npoints = total + 8 in
+  let points = Array.init npoints (fun i -> Gfp.p - 1 - i) in
+  let chi set z = Array.fold_left (fun acc e -> ref_mul acc (ref_sub z e)) 1 set in
+  let fa = Array.map (chi a) points and fb = Array.map (chi b) points in
+  let rows =
+    Array.init total (fun i ->
+        let z = points.(i) and f = ref_mul fa.(i) (Gfp.inv fb.(i)) in
+        let pow = Array.make (max m1 m2 + 1) 1 in
+        for k = 1 to max m1 m2 do
+          pow.(k) <- ref_mul pow.(k - 1) z
+        done;
+        ( Array.init (m1 + m2) (fun j ->
+              if j < m1 then pow.(j) else ref_sub 0 (ref_mul f pow.(j - m1))),
+          ref_sub (ref_mul f pow.(m2)) pow.(m1) ))
+  in
+  match ref_solve (Array.map fst rows) (Array.map snd rows) with
+  | None -> None
+  | Some x ->
+      let poly lo n = Poly.of_coeffs (Array.to_list (Array.append (Array.sub x lo n) [| 1 |])) in
+      let p = poly 0 m1 and q = poly m1 m2 in
+      let g = Poly.gcd p q in
+      let p = fst (Poly.divmod p g) and q = fst (Poly.divmod q g) in
+      let checks_ok =
+        List.for_all
+          (fun i ->
+            let z = points.(i) in
+            ref_mul (Poly.eval p z) fb.(i) = ref_mul (Poly.eval q z) fa.(i))
+          (List.init 8 (( + ) total))
+      in
+      let rng = rng () in
+      let mem set r = Array.exists (( = ) r) set in
+      let distinct rs = List.length (List.sort_uniq compare rs) = List.length rs in
+      if not checks_ok then None
+      else begin
+        match (Poly.roots ~rng p, Poly.roots ~rng q) with
+        | Some rp, Some rq
+          when distinct rp && distinct rq
+               && List.for_all (fun r -> mem a r && not (mem b r)) rp
+               && List.for_all (fun r -> mem b r && not (mem a r)) rq
+               && List.length rp - List.length rq = d ->
+            Some
+              { Reconcile.a_minus_b = List.sort compare rp;
+                b_minus_a = List.sort compare rq;
+                evals_used = npoints;
+                attempts = 1 }
+        | _ -> None
+      end
+
+let ref_diff ~max_bound ~a ~b =
+  let rec loop bound attempts =
+    if bound > max_bound then None
+    else
+      match ref_attempt ~bound ~a ~b with
+      | Some r -> Some { r with Reconcile.attempts }
+      | None -> loop (bound * 2) (attempts + 1)
+  in
+  loop 8 1
+
+let show_result = function
+  | None -> "None"
+  | Some r ->
+      Printf.sprintf "a-b=[%s] b-a=[%s] evals=%d attempts=%d"
+        (String.concat ";" (List.map string_of_int r.Reconcile.a_minus_b))
+        (String.concat ";" (List.map string_of_int r.Reconcile.b_minus_a))
+        r.Reconcile.evals_used r.Reconcile.attempts
+
+(* Two sets sharing a common part, each with its own extras, drawn from
+   a universe of [universe] elements.  In a tiny universe the extras
+   collide with the other side; a quarter of the instances also keep
+   repeated elements, which never decode, so those runs double all the
+   way to [max_bound]. *)
+let gen_instance ~universe ~max_bounds =
+  QCheck.Gen.(
+    let elts n = list_repeat n (int_bound (universe - 1)) in
+    int_range 0 40 >>= fun ns ->
+    int_range 0 30 >>= fun na ->
+    int_range 0 30 >>= fun nb ->
+    quad (elts ns) (pair (elts na) (elts nb)) (oneofl max_bounds) (int_bound 3)
+    >|= fun (shared, (xa, xb), max_bound, keep_repeats) ->
+    let side l = Array.of_list (if keep_repeats = 0 then l else List.sort_uniq compare l) in
+    (side (shared @ xa), side (shared @ xb), max_bound))
+
+let prop_diff_matches_reference ~name ~universe ~max_bounds =
+  QCheck.Test.make ~name ~count:150
+    (QCheck.make
+       ~print:(fun (a, b, mb) ->
+         Printf.sprintf "a=[%s] b=[%s] max_bound=%d"
+           (String.concat ";" (Array.to_list (Array.map string_of_int a)))
+           (String.concat ";" (Array.to_list (Array.map string_of_int b)))
+           mb)
+       (gen_instance ~universe ~max_bounds))
+    (fun (a, b, max_bound) ->
+      let got = Reconcile.diff ~max_bound ~a ~b () in
+      let want = ref_diff ~max_bound ~a ~b in
+      if got = want then true
+      else
+        QCheck.Test.fail_reportf "library %s, reference %s" (show_result got)
+          (show_result want))
+
+(* Small systems with entries from a handful of values, so that rank
+   deficiency and inconsistent right-hand sides are common. *)
+let gen_system =
+  QCheck.Gen.(
+    int_range 1 7 >>= fun rows ->
+    int_range 1 7 >>= fun cols ->
+    let entry =
+      frequency
+        [ (4, return 0); (2, return 1); (1, return (Gfp.p - 1));
+          (1, int_bound (Gfp.p - 1)) ]
+    in
+    pair (array_repeat rows (array_repeat cols entry)) (array_repeat rows entry)
+    >>= fun (m, rhs) ->
+    (* Sometimes copy a row onto another, keeping or breaking consistency. *)
+    bool >|= fun dup ->
+    if dup && rows > 1 then begin
+      m.(rows - 1) <- Array.copy m.(0);
+      rhs.(rows - 1) <- rhs.(0)
+    end;
+    (m, rhs))
+
+let prop_solve_matches_reference =
+  QCheck.Test.make ~name:"solve matches Gauss-Jordan" ~count:500
+    (QCheck.make
+       ~print:(fun (m, rhs) ->
+         let row r = String.concat " " (Array.to_list (Array.map string_of_int r)) in
+         String.concat " | " (Array.to_list (Array.map row m)) ^ " = " ^ row rhs)
+       gen_system)
+    (fun (m, rhs) -> Linalg.solve m rhs = ref_solve m rhs)
+
+let test_solve_rank_deficient_cases () =
+  (* Rank 1 of 3 (consistent and not), and a zero column before a pivot. *)
+  let m = [| [| 1; 2; 3 |]; [| 2; 4; 6 |]; [| 3; 6; 9 |] |] in
+  Alcotest.(check (option (array int))) "consistent rank 1" (ref_solve m [| 1; 2; 3 |])
+    (Linalg.solve m [| 1; 2; 3 |]);
+  Alcotest.(check (option (array int))) "inconsistent rank 1" None (Linalg.solve m [| 1; 2; 4 |]);
+  let m = [| [| 0; 5; 1 |]; [| 0; 0; 2 |] |] in
+  Alcotest.(check (option (array int))) "zero column" (ref_solve m [| 7; 4 |])
+    (Linalg.solve m [| 7; 4 |])
+
+let field_edges = [ 0; 1; 2; Gfp.p - 2; Gfp.p - 1; (Gfp.p - 1) / 2; 1 lsl 30 ]
+
+let test_gfp_mul_edges () =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check int) (Printf.sprintf "%d * %d" a b) (a * b mod Gfp.p) (Gfp.mul a b))
+        field_edges)
+    field_edges
+
+let prop_gfp_mul =
+  QCheck.Test.make ~name:"mul matches a * b mod p" ~count:2000
+    QCheck.(
+      let elt = Gen.(frequency [ (1, oneofl field_edges); (4, int_bound (Gfp.p - 1)) ]) in
+      make ~print:Print.(pair int int) Gen.(pair elt elt))
+    (fun (a, b) -> Gfp.mul a b = a * b mod Gfp.p)
+
+let prop_gfp_kernels =
+  QCheck.Test.make ~name:"axpy and prod_sub match mul" ~count:300
+    QCheck.(
+      let elt = Gen.(frequency [ (1, oneofl field_edges); (4, int_bound (Gfp.p - 1)) ]) in
+      make
+        ~print:Print.(triple int (array int) (array int))
+        Gen.(int_range 0 7 >>= fun n -> triple elt (array_repeat n elt) (array_repeat n elt)))
+    (fun (k, x, y) ->
+      let want_prod = Array.fold_left (fun acc e -> ref_mul acc (ref_sub k e)) 1 x in
+      let from = Array.length y / 2 in
+      let want_y =
+        Array.mapi (fun j v -> if j < from then v else (v + ref_mul k x.(j)) mod Gfp.p) y
+      in
+      let got_y = Array.copy y in
+      Gfp.axpy k x got_y ~from;
+      Gfp.prod_sub k x = want_prod && got_y = want_y)
+
+(* The [max_bound] test looks at the unclamped bound, so a size
+   difference beyond [max_bound] still gets its one attempt. *)
+let test_reconcile_clamp_beyond_max_bound () =
+  let a = Array.init 40 (fun i -> (i * 7919) + 3) in
+  (match Reconcile.diff ~max_bound:16 ~a ~b:[||] () with
+  | None -> Alcotest.fail "|d| = 40 > max_bound 16 is still attempted at bound 40"
+  | Some r ->
+      Alcotest.(check (list int)) "a-b" (Array.to_list a) r.Reconcile.a_minus_b;
+      Alcotest.(check int) "evals at bound 40" 48 r.Reconcile.evals_used;
+      Alcotest.(check int) "one attempt" 1 r.Reconcile.attempts);
+  (* A difference beyond both max_bound and |d| is refused. *)
+  let b = Array.init 30 (fun i -> (i * 104729) + 5) in
+  let a = Array.sub a 0 20 in
+  Alcotest.(check bool) "50 > max(16, 10) refused" true
+    (Reconcile.diff ~max_bound:16 ~a ~b () = None)
+
+(* Skipped repeats of a failed clamped bound still count as attempts. *)
+let test_reconcile_attempts_count_skipped () =
+  let a = Array.init 41 (fun i -> (i * 7919) + 3) in
+  let b = [| 999_999 |] in
+  match Reconcile.diff ~a ~b () with
+  | None -> Alcotest.fail "bound 64 suffices"
+  | Some r ->
+      (* Bounds 8, 16 and 32 all clamp to |d| = 40, which fails; 64 succeeds. *)
+      Alcotest.(check int) "attempts" 4 r.Reconcile.attempts;
+      Alcotest.(check int) "evals at bound 64" 72 r.Reconcile.evals_used;
+      Alcotest.(check bool) "matches reference" true
+        (Some r = ref_diff ~max_bound:1024 ~a ~b)
+
+(* With a repeated element the one-sided difference is a multiset: here
+   it is {5, 9}, whose polynomial decodes cleanly, but 5 is also in b,
+   so the membership check must refuse it. *)
+let test_reconcile_root_in_both_sides () =
+  let a = [| 5; 5; 9 |] and b = [| 5 |] in
+  Alcotest.(check bool) "refused" true (Reconcile.diff ~max_bound:16 ~a ~b () = None);
+  Alcotest.(check bool) "reference agrees" true (ref_diff ~max_bound:16 ~a ~b = None)
+
+let differential_rand () = Random.State.make [| 0x5e7 |]
+
 (* --- Bloom --- *)
 
 let test_bloom_membership () =
@@ -337,7 +614,10 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_gfp_basics;
           Alcotest.test_case "inverse" `Quick test_gfp_inverse;
           Alcotest.test_case "pow" `Quick test_gfp_pow;
-          Alcotest.test_case "of_int64" `Quick test_gfp_of_int64 ] );
+          Alcotest.test_case "of_int64" `Quick test_gfp_of_int64;
+          Alcotest.test_case "mul edges" `Quick test_gfp_mul_edges;
+          QCheck_alcotest.to_alcotest ~rand:(differential_rand ()) prop_gfp_mul;
+          QCheck_alcotest.to_alcotest ~rand:(differential_rand ()) prop_gfp_kernels ] );
       ( "poly",
         [ Alcotest.test_case "normalize" `Quick test_poly_normalize;
           Alcotest.test_case "arith" `Quick test_poly_arith;
@@ -355,7 +635,10 @@ let () =
           Alcotest.test_case "solves" `Quick test_linalg_solves;
           Alcotest.test_case "inconsistent" `Quick test_linalg_inconsistent;
           Alcotest.test_case "underdetermined" `Quick test_linalg_underdetermined;
-          Alcotest.test_case "no mutation" `Quick test_linalg_does_not_mutate ] );
+          Alcotest.test_case "no mutation" `Quick test_linalg_does_not_mutate;
+          Alcotest.test_case "rank deficient" `Quick test_solve_rank_deficient_cases;
+          QCheck_alcotest.to_alcotest ~rand:(differential_rand ())
+            prop_solve_matches_reference ] );
       ( "reconcile",
         [ Alcotest.test_case "disjoint" `Quick test_reconcile_disjoint_small;
           Alcotest.test_case "identical" `Quick test_reconcile_identical;
@@ -368,7 +651,18 @@ let () =
           Alcotest.test_case "universe guard" `Quick test_reconcile_universe_guard;
           Alcotest.test_case "fingerprint mapping" `Quick test_element_of_fingerprint_range;
           Alcotest.test_case "char evals" `Quick test_char_evals;
-          QCheck_alcotest.to_alcotest prop_reconcile_random ] );
+          QCheck_alcotest.to_alcotest prop_reconcile_random;
+          Alcotest.test_case "clamp beyond max_bound" `Quick
+            test_reconcile_clamp_beyond_max_bound;
+          Alcotest.test_case "skipped bounds counted" `Quick
+            test_reconcile_attempts_count_skipped;
+          Alcotest.test_case "root in both sides" `Quick test_reconcile_root_in_both_sides;
+          QCheck_alcotest.to_alcotest ~rand:(differential_rand ())
+            (prop_diff_matches_reference ~name:"diff matches reference, large universe"
+               ~universe:Reconcile.universe_size ~max_bounds:[ 8; 16; 32; 1024 ]);
+          QCheck_alcotest.to_alcotest ~rand:(differential_rand ())
+            (prop_diff_matches_reference ~name:"diff matches reference, tiny universe"
+               ~universe:48 ~max_bounds:[ 8; 16; 32; 64 ]) ] );
       ( "bloom",
         [ Alcotest.test_case "membership" `Quick test_bloom_membership;
           Alcotest.test_case "false positives" `Quick test_bloom_false_positive_rate;
