@@ -44,7 +44,8 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
 {ul
 {- [Netsim] — discrete-event packet simulator: {!Netsim.Net},
    {!Netsim.Tcp}, {!Netsim.Red}, {!Netsim.Router} (with adversarial
-   forwarding hooks), {!Netsim.Tracer}, {!Netsim.Meter}.  Two engines
+   forwarding hooks and per-cause drop counters), {!Netsim.Meter}
+   (per-flow delivery series).  Two engines
    drive it: the classic single-heap {!Netsim.Sim} loop, and
    {!Netsim.Shard} — a conservative-synchronization parallel engine
    (one domain per graph partition, cross-shard packets through
@@ -63,7 +64,7 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
 {- [Mrstats] — {!Mrstats.Erf}, {!Mrstats.Ztest}, {!Mrstats.Welford},
    {!Mrstats.Histogram}, {!Mrstats.Variate}.}
 {- [Telemetry] — {!Telemetry.Metrics} (labeled counters, gauges,
-   log-bucketed histograms), {!Telemetry.Journal} (bounded typed event
+   histograms over {!Telemetry.Hist}), {!Telemetry.Journal} (bounded typed event
    ring), {!Telemetry.Export} (JSON and Prometheus text),
    {!Telemetry.Profile} (wall-clock phase timing), {!Telemetry.Span}
    (causal packet traces, detector round spans, verdict provenance and

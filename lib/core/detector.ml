@@ -46,10 +46,13 @@ let names () =
 let doc_of (module M : S) = M.doc
 let name_of (module M : S) = M.name
 
-let init (module M : S) env = Instance ((module M), M.init env)
+let init (module M : S) env =
+  let t = M.init env in
+  let sim = Netsim.Net.sim env.net in
+  Netsim.Net.subscribe_link_state env.net (fun ~src ~dst ~up ->
+      M.on_ctrl t ~now:(Netsim.Sim.now sim) ~src ~dst ~up);
+  Instance ((module M), t)
 let instance_name (Instance ((module M), _)) = M.name
 let on_round (Instance ((module M), t)) ~now = M.on_round t ~now
-let on_ctrl (Instance ((module M), t)) ~now ~src ~dst ~up =
-  M.on_ctrl t ~now ~src ~dst ~up
 let verdicts (Instance ((module M), t)) = M.verdicts t
 let report (Instance ((module M), t)) = M.report t

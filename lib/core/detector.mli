@@ -92,8 +92,10 @@ val doc_of : detector -> string
 val name_of : detector -> string
 
 val init : detector -> env -> instance
+(** [M.init env], with [M.on_ctrl] subscribed to [env.net]'s link-state
+    changes. *)
+
 val instance_name : instance -> string
 val on_round : instance -> now:float -> unit
-val on_ctrl : instance -> now:float -> src:int -> dst:int -> up:bool -> unit
 val verdicts : instance -> verdict list
 val report : instance -> unit

@@ -175,11 +175,6 @@ let corruption_ablation () =
             let rt = Topology.Routing.compute g in
             Netsim.Net.use_routing net rt;
             Netsim.Net.set_link_corruption net ~src:0 ~dst:3 ber;
-            let corrupted = ref 0 in
-            Netsim.Net.subscribe_iface net (fun ev ->
-                match ev.Netsim.Net.kind with
-                | Netsim.Iface.Drop_corrupted _ -> incr corrupted
-                | _ -> ());
             let config =
               { Chi.default_config with Chi.tau = 2.0; min_suspicious } in
             let chi = Chi.deploy ~net ~rt ~router:3 ~next:4 ~config () in
@@ -188,7 +183,9 @@ let corruption_ablation () =
             Netsim.Net.run ~until:60.0 net;
             [ Exp.floatf "%.0e" ber; Exp.int min_suspicious;
               Exp.int (List.length (Chi.alarms chi));
-              Exp.int !corrupted ])
+              Exp.int
+                (Netsim.Iface.corrupted_drops
+                   (Option.get (Netsim.Net.iface net ~src:0 ~dst:3))) ])
           [ 1; 3 ])
       [ 0.0; 1e-4; 1e-3 ]
   in

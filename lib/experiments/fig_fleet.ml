@@ -16,9 +16,6 @@ let trial ~seed ~attacker =
   Net.use_routing net rt;
   let config = { Core.Chi.default_config with Core.Chi.tau = 1.0; learning_rounds = 3 } in
   let fleet = Core.Chi_fleet.deploy ~net ~rt ~config () in
-  let malicious = ref 0 in
-  Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
   (* Flows chosen so the attacker actually carries transit (preferential
      topologies concentrate transit on hubs), plus random background. *)
   let n = Topology.Graph.size g in
@@ -58,7 +55,8 @@ let trial ~seed ~attacker =
     | s :: _ -> Exp.float ~decimals:1 (s.Core.Chi_fleet.first_alarm -. 15.0)
     | [] -> Exp.text "-"
   in
-  (suspects, latency, !malicious, List.length chosen)
+  (suspects, latency, Router.malicious_drops (Net.router net attacker),
+   List.length chosen)
 
 let eval () =
   let correct = ref 0 and total = ref 0 and leaves = ref 0 in

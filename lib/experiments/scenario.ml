@@ -19,26 +19,19 @@ let topology () =
   G.add_duplex g ~bw:1.25e6 ~delay:0.005 bottleneck_router sink;
   g
 
+(* Drops at the bottleneck, the only router with a behavior, read from
+   its own counters once the run is over. *)
 type ground_truth = {
-  mutable malicious_drops : int;
-  mutable congestion_drops : int;
-  mutable red_drops : int;
+  malicious_drops : int;
+  congestion_drops : int;
+  red_drops : int;
 }
 
-let watch_ground_truth net =
-  let gt = { malicious_drops = 0; congestion_drops = 0; red_drops = 0 } in
-  Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with
-      | Router.Malicious_drop _ -> gt.malicious_drops <- gt.malicious_drops + 1
-      | _ -> ());
-  Net.subscribe_iface net (fun ev ->
-      if ev.Net.router = bottleneck_router && ev.Net.next = sink then begin
-        match ev.Net.kind with
-        | Iface.Drop_congestion _ -> gt.congestion_drops <- gt.congestion_drops + 1
-        | Iface.Drop_red_early _ -> gt.red_drops <- gt.red_drops + 1
-        | _ -> ()
-      end);
-  gt
+let ground_truth net =
+  let q = Option.get (Net.iface net ~src:bottleneck_router ~dst:sink) in
+  { malicious_drops = Router.malicious_drops (Net.router net bottleneck_router);
+    congestion_drops = Iface.congestion_drops q;
+    red_drops = Iface.red_early_drops q }
 
 (* Background plus victim traffic; returns the victim flow ids. *)
 let offer_traffic ?(victim_connections = false) net =
@@ -86,7 +79,6 @@ let run_droptail ?(seed = 21) ?(duration = default_duration)
   Net.use_routing net rt;
   let config = { Core.Chi.default_config with Core.Chi.tau = tau; learning_rounds = 4 } in
   let chi = Core.Chi.deploy ~net ~rt ~router:bottleneck_router ~next:sink ~config () in
-  let truth = watch_ground_truth net in
   let victim_flows = offer_traffic ~victim_connections net in
   let victim_meters =
     List.map (fun flow -> Meter.flow_throughput net ~node:sink ~flow ~bucket:tau)
@@ -98,7 +90,8 @@ let run_droptail ?(seed = 21) ?(duration = default_duration)
         (Core.Adversary.after attack_start behavior)
   | None -> ());
   Net.run ~until:duration net;
-  { reports = Core.Chi.reports chi; truth; attack_start; victim_flows; victim_meters }
+  { reports = Core.Chi.reports chi; truth = ground_truth net; attack_start;
+    victim_flows; victim_meters }
 
 type red_run = {
   red_reports : Core.Chi_red.report list;
@@ -121,7 +114,6 @@ let run_red ?(seed = 21) ?(duration = red_duration)
     Core.Chi_red.deploy ~net ~rt ~router:bottleneck_router ~next:sink ~params:red_params
       ~config ()
   in
-  let truth = watch_ground_truth net in
   let victim_flows = offer_traffic ~victim_connections net in
   (* Unresponsive background load keeps the EWMA visiting the upper RED
      region, where the §6.5.3 conditioned attacks trigger. *)
@@ -135,7 +127,7 @@ let run_red ?(seed = 21) ?(duration = red_duration)
         (Core.Adversary.after attack_start behavior)
   | None -> ());
   Net.run ~until:duration net;
-  { red_reports = Core.Chi_red.reports chi; red_truth = truth;
+  { red_reports = Core.Chi_red.reports chi; red_truth = ground_truth net;
     red_attack_start = attack_start }
 
 (* Typed figure sections (rendered by Exp.render). *)

@@ -211,7 +211,9 @@ let summary_json ~scenario ~attack_start net probe profile =
       ("phases", Telemetry.Profile.json profile);
       ("metrics", json_of_registry (Probe.registry probe));
       ("stats",
-       match Net.stats net with Some st -> Stats.to_json st | None -> Null) ]
+       match Net.stats net with
+       | Some st -> Stats.to_json st ~ifaces:(Net.ifaces net)
+       | None -> Null) ]
 
 let write_metrics path doc net probe =
   (* A .prom / .txt suffix selects the Prometheus text exposition format;
@@ -290,7 +292,7 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
     | _ -> ()
   in
   let attack_start = duration /. 3.0 in
-  let net, rt, pairs, malicious, congestion, tracer =
+  let net, rt, pairs, trace_log =
     Telemetry.Profile.time profile "setup" (fun () ->
         let net = Net.create ~seed ~jitter_bound:200e-6 ~shards g in
         Net.set_probe net probe;
@@ -300,12 +302,6 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
         | None -> ());
         let rt = Topology.Routing.compute g in
         Net.use_routing net rt;
-        (* Ground truth. *)
-        let malicious = ref 0 and congestion = ref 0 in
-        Net.subscribe_router net (fun ev ->
-            match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
-        Net.subscribe_iface net (fun ev ->
-            match ev.Net.kind with Iface.Drop_congestion _ -> incr congestion | _ -> ());
         (* Traffic: CBR between pseudo-random distinct pairs that transit
            the attacker where possible. *)
         let rng = Random.State.make [| seed; 0xf10 |] in
@@ -327,12 +323,23 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
             Router.set_behavior (Net.router net attacker)
               (Core.Adversary.after attack_start b)
         | None -> ());
-        let tracer =
-          if trace > 0 then
-            Some (Tracer.attach ~net ~capacity:trace ~routers:[ attacker ] ())
+        (* --trace N: the newest N wire events at the attacker. *)
+        let trace_log =
+          if trace > 0 then begin
+            let j = Telemetry.Journal.create ~capacity:trace () in
+            Net.subscribe_iface net (fun { Net.time; router; next; kind } ->
+                if router = attacker then
+                  Telemetry.Journal.record j
+                    (Probe.Link { Probe.time; router; next; ev = kind }));
+            Net.subscribe_router net (fun { Net.time; router; kind } ->
+                if router = attacker then
+                  Telemetry.Journal.record j
+                    (Probe.Node { Probe.time; router; ev = kind }));
+            Some j
+          end
           else None
         in
-        (net, rt, !pairs, malicious, congestion, tracer))
+        (net, rt, !pairs, trace_log))
   in
   let injector =
     Option.map
@@ -359,10 +366,10 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   Printf.printf "topology: %d routers, %d links; %d flows; attack at %.0f s\n"
     n (Topology.Graph.link_count g) (List.length pairs) attack_start;
   let dump_trace () =
-    match tracer with
-    | Some tr ->
+    match trace_log with
+    | Some j ->
         Printf.printf "last %d events at router %d:\n" trace attacker;
-        List.iter (fun line -> Printf.printf "  %s\n" line) (Tracer.events tr)
+        Telemetry.Journal.iter j (fun ev -> Printf.printf "  %s\n" (Probe.describe ev))
     | None -> ()
   in
   (* Deploy the detector through the registry: same setup profiling the
@@ -375,8 +382,6 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   let inst =
     Telemetry.Profile.time profile "setup" (fun () -> Core.Detector.init detector env)
   in
-  Net.subscribe_link_state net (fun ~src ~dst ~up ->
-      Core.Detector.on_ctrl inst ~now:(Sim.now (Net.sim net)) ~src ~dst ~up);
   let on_epoch ~now =
     Core.Detector.on_round inst ~now;
     (* Sharded engine: the epoch barrier doubles as the live-view tick. *)
@@ -406,8 +411,10 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
      write_trace ();
      raise e);
   Telemetry.Profile.time profile "report" (fun () ->
+      (* The attacker is the only router with a behavior. *)
       Printf.printf "ground truth: %d malicious drops, %d congestion drops\n"
-        !malicious !congestion;
+        (Router.malicious_drops (Net.router net attacker))
+        (List.fold_left (fun acc i -> acc + Iface.congestion_drops i) 0 (Net.ifaces net));
       Core.Detector.report inst;
       (match (injector, probe) with
       | Some inj, Some probe ->

@@ -30,16 +30,6 @@ let measure ~flows =
   let rt = Topology.Routing.compute g in
   Net.use_routing net rt;
   let conns = List.init flows (fun src -> Tcp.connect net ~src ~dst:sink ()) in
-  let sent = ref 0 and dropped = ref 0 in
-  Net.subscribe_iface net (fun ev ->
-      if ev.Net.router = bottleneck && ev.Net.next = sink then begin
-        match ev.Net.kind with
-        | Iface.Enqueued _ -> incr sent
-        | Iface.Drop_congestion _ ->
-            incr sent;
-            incr dropped
-        | _ -> ()
-      end);
   (* Sample the queue occupancy for the sigma comparison. *)
   let iface = Option.get (Net.iface net ~src:bottleneck ~dst:sink) in
   let occ = ref [] in
@@ -55,8 +45,10 @@ let measure ~flows =
     List.fold_left (fun acc c -> acc +. Tcp.goodput c ~at:duration) 0.0 conns
     /. float_of_int flows
   in
+  let dropped = Iface.congestion_drops iface in
+  let sent = Iface.enqueued_packets iface + dropped in
   { flows;
-    loss_rate = float_of_int !dropped /. float_of_int (max 1 !sent);
+    loss_rate = float_of_int dropped /. float_of_int (max 1 sent);
     throughput_per_flow = goodput;
     rtt = 0.042 +. 0.025 (* propagation + typical queueing at this buffer *);
     queue_sigma = Mrstats.Descriptive.stddev (Array.of_list !occ) }

@@ -25,11 +25,6 @@ let run_one ~attack ~congested =
   let chi_config = { Core.Chi.default_config with Core.Chi.tau = 2.0 } in
   (* χ watches the queue the attacker (router 1) feeds toward 2. *)
   let chi = Core.Chi.deploy ~net ~rt ~router:1 ~next:2 ~config:chi_config () in
-  let malicious = ref 0 and congestion = ref 0 in
-  Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
-  Net.subscribe_iface net (fun ev ->
-      match ev.Net.kind with Iface.Drop_congestion _ -> incr congestion | _ -> ());
   List.iter
     (fun (s, d) ->
       ignore (Flow.cbr net ~src:s ~dst:d ~rate_pps:60.0 ~size:400 ~start:0.0 ~stop:40.0))
@@ -44,8 +39,9 @@ let run_one ~attack ~congested =
   Net.run ~until:40.0 net;
   { watchers_suspects = Core.Watchers_live.suspected_routers w;
     chi_alarms = List.length (Core.Chi.alarms chi);
-    malicious = !malicious;
-    congestion = !congestion }
+    malicious = Router.malicious_drops (Net.router net 1);
+    congestion =
+      List.fold_left (fun acc i -> acc + Iface.congestion_drops i) 0 (Net.ifaces net) }
 
 let row_of label r =
   [ Exp.text label;

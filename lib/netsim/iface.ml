@@ -38,7 +38,11 @@ type t = {
   mutable tx_packets : int;
   mutable tx_bytes : int;
   mutable delivered_packets : int;
-  mutable dropped_packets : int;
+  mutable enqueued_packets : int;
+  mutable congestion_drops : int;
+  mutable red_early_drops : int;
+  mutable link_down_drops : int;
+  mutable corrupted_drops : int;
 }
 
 (* Event tags for the flat heap (registered below, once the handlers'
@@ -66,7 +70,8 @@ let create ~sim ~link ~kind ?(delivery = Direct) ?(release = no_release)
   { sim; link; queue; delivery; on_event; deliver; release; observe = true;
     busy = false; up = true;
     corruption = 0.0; tx_packets = 0; tx_bytes = 0; delivered_packets = 0;
-    dropped_packets = 0 }
+    enqueued_packets = 0; congestion_drops = 0; red_early_drops = 0;
+    link_down_drops = 0; corrupted_drops = 0 }
 
 let owner t = t.link.Topology.Graph.src
 let next_hop t = t.link.Topology.Graph.dst
@@ -140,7 +145,7 @@ let kick t =
                 handoff ~time:at ~rank:(Sim.fresh_rank t.sim) ~prev:(owner t) p
             end
             else if corrupted then begin
-              t.dropped_packets <- t.dropped_packets + 1;
+              t.corrupted_drops <- t.corrupted_drops + 1;
               t.release p
             end
             else begin
@@ -154,7 +159,7 @@ let kick t =
 let arrive_direct t p =
   if t.corruption > 0.0 && Random.State.float (Sim.rng t.sim) 1.0 < t.corruption
   then begin
-    t.dropped_packets <- t.dropped_packets + 1;
+    t.corrupted_drops <- t.corrupted_drops + 1;
     if t.observe then t.on_event t (Drop_corrupted p) else t.release p
   end
   else begin
@@ -168,7 +173,7 @@ let arrive_direct t p =
    transmit-start ([iarg] carries the outcome). *)
 let arrive_obs t p corrupted =
   if corrupted = 1 then begin
-    t.dropped_packets <- t.dropped_packets + 1;
+    t.corrupted_drops <- t.corrupted_drops + 1;
     t.on_event t (Drop_corrupted p)
   end
   else begin
@@ -199,7 +204,7 @@ let set_up t up =
 
 let enqueue t p =
   if not t.up then begin
-    t.dropped_packets <- t.dropped_packets + 1;
+    t.link_down_drops <- t.link_down_drops + 1;
     if t.observe then t.on_event t (Drop_link_down p) else t.release p
   end
   else begin
@@ -210,17 +215,25 @@ let enqueue t p =
   in
   match verdict with
   | `Enqueued ->
+      t.enqueued_packets <- t.enqueued_packets + 1;
       if t.observe then t.on_event t (Enqueued p);
       kick t
   | `Forced_drop ->
-      t.dropped_packets <- t.dropped_packets + 1;
+      t.congestion_drops <- t.congestion_drops + 1;
       if t.observe then t.on_event t (Drop_congestion p) else t.release p
   | `Early_drop ->
-      t.dropped_packets <- t.dropped_packets + 1;
+      t.red_early_drops <- t.red_early_drops + 1;
       if t.observe then t.on_event t (Drop_red_early p) else t.release p
   end
 
 let tx_packets t = t.tx_packets
 let tx_bytes t = t.tx_bytes
 let delivered_packets t = t.delivered_packets
-let dropped_packets t = t.dropped_packets
+let enqueued_packets t = t.enqueued_packets
+let congestion_drops t = t.congestion_drops
+let red_early_drops t = t.red_early_drops
+let link_down_drops t = t.link_down_drops
+let corrupted_drops t = t.corrupted_drops
+
+let dropped_packets t =
+  t.congestion_drops + t.red_early_drops + t.link_down_drops + t.corrupted_drops

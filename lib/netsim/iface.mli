@@ -112,6 +112,20 @@ val tx_bytes : t -> int
 val delivered_packets : t -> int
 (** Packets that reached the far end intact. *)
 
+val enqueued_packets : t -> int
+(** Packets admitted to the output buffer ([Enqueued]). *)
+
+(** Per-cause drop counters, one per drop event: [Drop_congestion],
+    [Drop_red_early], [Drop_link_down] and [Drop_corrupted].  Like every
+    counter here they are bumped whether or not the network is observed.
+    In an unobserved sharded run a corrupted packet is counted at
+    transmit-start, where its coin is drawn; otherwise at its arrival
+    instant. *)
+
+val congestion_drops : t -> int
+val red_early_drops : t -> int
+val link_down_drops : t -> int
+val corrupted_drops : t -> int
+
 val dropped_packets : t -> int
-(** Packets this interface discarded (congestion, RED, link-down or
-    in-flight corruption). *)
+(** The sum of the four per-cause drop counters. *)

@@ -93,6 +93,13 @@ let router t id = t.routers.(id)
 
 let iface t ~src ~dst = Router.iface_to t.routers.(src) dst
 
+let ifaces t =
+  Array.to_list t.routers
+  |> List.concat_map (fun r ->
+         List.sort
+           (fun a b -> compare (Iface.next_hop a) (Iface.next_hop b))
+           (Router.ifaces r))
+
 let subscribe_iface t f =
   t.iface_listeners <- f :: t.iface_listeners;
   refresh_observe t
@@ -125,7 +132,7 @@ let stats t = t.stats
    observed configuration (probe only) pays fields, not boxes. *)
 let emit_iface t ~time ~router ~next kind =
   (match t.stats with
-  | Some st when not t.replaying -> Stats.on_iface st ~time ~router ~next kind
+  | Some st when not t.replaying -> Stats.on_iface st ~time ~router kind
   | _ -> ());
   (match t.probe with
   | Some p -> Probe.on_iface p ~time ~router ~next kind
@@ -320,8 +327,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
                 if Array.length t.shard_stats > 0 then
                   Stats.on_iface
                     t.shard_stats.(Shard.current ())
-                    ~time:(Sim.now sim) ~router:(Iface.owner i)
-                    ~next:(Iface.next_hop i) ev;
+                    ~time:(Sim.now sim) ~router:(Iface.owner i) ev;
                 Shard.record sh
                   (Shard.Obs_iface
                      { router = Iface.owner i; next = Iface.next_hop i; kind = ev })

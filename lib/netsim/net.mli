@@ -81,6 +81,9 @@ val graph : t -> Topology.Graph.t
 val router : t -> int -> Router.t
 val iface : t -> src:int -> dst:int -> Iface.t option
 
+val ifaces : t -> Iface.t list
+(** Every interface, ordered by (owner, next hop). *)
+
 val use_routing : t -> Topology.Routing.t -> unit
 (** Install plain link-state forwarding on every router. *)
 

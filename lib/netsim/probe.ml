@@ -409,7 +409,7 @@ let conservation t =
   { total_injected; total_delivered; total_dropped; total_fragmented;
     in_flight = total_injected - total_delivered - total_dropped - total_fragmented }
 
-(* --- formatting: the legacy Tracer line format, derived on demand --- *)
+(* --- formatting: one trace line per record, derived on demand --- *)
 
 let describe_iface_kind = function
   | Iface.Enqueued _ -> "enqueue"

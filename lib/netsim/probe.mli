@@ -9,9 +9,12 @@
     {!record_verdict}.  With no probe attached the per-event cost in the
     forwarding plane is a single pointer test.
 
-    {!Tracer} derives its legacy line format from the same typed records
-    via {!describe}; exporters turn the journal into JSONL with
-    {!write_journal}.
+    {!describe} renders any record as a one-line trace entry (what
+    [mrdetect simulate --trace N] prints); exporters turn the journal
+    into JSONL with {!write_journal}.  The probe's counters are the
+    detectors'-eye view; the counts of record are the always-on
+    per-cause {!Iface} and {!Router} counters, which agree with them
+    whenever a probe is attached from the start of a run.
 
     A probe can additionally bridge into a {!Telemetry.Span} collector
     (pass [tracer] at creation): {!on_originate} then assigns each
@@ -173,7 +176,7 @@ type conservation = {
 val conservation : t -> conservation
 
 val describe : event -> string
-(** The legacy one-line trace rendering ("12.0345 r3->r4 deliver #812
+(** The one-line trace rendering ("12.0345 r3->r4 deliver #812
     ...") derived from the typed record. *)
 
 val iface_packet : Iface.event -> Packet.t

@@ -49,6 +49,7 @@ type t = {
   mutable received_packets : int;
   mutable forwarded_packets : int;
   mutable delivered_packets : int;
+  mutable malicious_drops : int;
 }
 
 let no_release (_ : Packet.t) = ()
@@ -62,7 +63,8 @@ let create ~sim ~id ~jitter ?fresh_uid ?(release = no_release) ~on_event
     out = Hashtbl.create 4; observe = true;
     forwarding = (fun ~prev:_ _ -> -1); behavior = honest; mtu = None;
     mcast = Hashtbl.create 2;
-    received_packets = 0; forwarded_packets = 0; delivered_packets = 0 }
+    received_packets = 0; forwarded_packets = 0; delivered_packets = 0;
+    malicious_drops = 0 }
 
 let id t = t.id
 let set_observe t v = t.observe <- v
@@ -165,6 +167,7 @@ let forward_one t ~prev ~next pkt =
             t.forwarded_packets <- t.forwarded_packets + 1;
             fragment_if_needed t ~next iface pkt
         | Drop ->
+            t.malicious_drops <- t.malicious_drops + 1;
             if t.observe then t.on_event t (Malicious_drop { next; pkt })
             else t.release pkt
         | Modify payload ->
@@ -246,3 +249,4 @@ let fabricate t ~next pkt =
 let received_packets t = t.received_packets
 let forwarded_packets t = t.forwarded_packets
 let delivered_packets t = t.delivered_packets
+let malicious_drops t = t.malicious_drops

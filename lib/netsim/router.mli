@@ -121,3 +121,6 @@ val forwarded_packets : t -> int
 
 val delivered_packets : t -> int
 (** Packets delivered to this router's local applications. *)
+
+val malicious_drops : t -> int
+(** Packets this router's behavior discarded ([Malicious_drop]). *)

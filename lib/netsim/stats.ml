@@ -4,7 +4,9 @@
    event sites; everything it keeps is bounded: downsampling
    [Telemetry.Timeseries] rings for the headline rates, mergeable
    [Telemetry.Hist] histograms for latencies and durations, and flat
-   per-router / per-link arrays for the topology-shaped counters.
+   per-router arrays for the queue-depth series.  Per-link transmit and
+   drop totals are not kept here: the interfaces' own always-on counters
+   are read at export.
 
    Sharded runs split the collector in two tiers:
 
@@ -15,8 +17,8 @@
      is exact — commutative and associative — and the aggregate is
      byte-identical for every shard count K >= 1.
 
-   - {e shared single-writer state} (queue-depth tracking and the
-     per-link counters) is physically one set of arrays referenced by
+   - {e shared single-writer state} (queue-depth tracking) is
+     physically one set of arrays referenced by
      the main collector and every local: cell [r] is only ever touched
      by the domain executing router [r]'s events (its owning shard
      inside a window, the coordinator at a barrier), so sharing is
@@ -43,8 +45,6 @@ type shared = {
   n : int;
   depth : int array; (* running queued-packet count per router *)
   queue_depth : Ts.t array; (* event-weighted depth samples per router *)
-  link_tx : int array; (* (router * n + next) transmit starts *)
-  link_drop : int array; (* (router * n + next) iface drops *)
 }
 
 type t = {
@@ -97,9 +97,7 @@ let create ~n () =
       depth = Array.make n 0;
       queue_depth =
         Array.init n (fun _ ->
-            Ts.create ~capacity:router_capacity ~resolution:router_resolution ());
-      link_tx = Array.make (n * n) 0;
-      link_drop = Array.make (n * n) 0 }
+            Ts.create ~capacity:router_capacity ~resolution:router_resolution ()) }
 
 let local t = of_shared t.shared
 
@@ -114,28 +112,24 @@ let on_originate t ~time (_pkt : Packet.t) = Ts.record t.injected ~time 1.0
 let depth_sample sh ~time router =
   Ts.record sh.queue_depth.(router) ~time (float_of_int sh.depth.(router))
 
-let on_iface t ~time ~router ~next (ev : Iface.event) =
+let on_iface t ~time ~router (ev : Iface.event) =
   let sh = t.shared in
-  let link = (router * sh.n) + next in
   match ev with
   | Iface.Enqueued _ ->
       Ts.record t.enqueued ~time 1.0;
       sh.depth.(router) <- sh.depth.(router) + 1;
       depth_sample sh ~time router
   | Iface.Transmit_start _ ->
-      sh.link_tx.(link) <- sh.link_tx.(link) + 1;
       if sh.depth.(router) > 0 then sh.depth.(router) <- sh.depth.(router) - 1;
       depth_sample sh ~time router
   | Iface.Drop_link_down _ ->
       Ts.record t.dropped ~time 1.0;
-      sh.link_drop.(link) <- sh.link_drop.(link) + 1;
       (* The packet had left the queue (or the queue is being flushed);
          keep the running depth honest either way. *)
       if sh.depth.(router) > 0 then sh.depth.(router) <- sh.depth.(router) - 1;
       depth_sample sh ~time router
   | Iface.Drop_congestion _ | Iface.Drop_red_early _ | Iface.Drop_corrupted _ ->
-      Ts.record t.dropped ~time 1.0;
-      sh.link_drop.(link) <- sh.link_drop.(link) + 1
+      Ts.record t.dropped ~time 1.0
   | Iface.Delivered _ -> ()
 
 let on_router t ~time ~router:_ (ev : Router.event) =
@@ -260,7 +254,7 @@ let sorted_hists tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let to_json t =
+let to_json t ~ifaces =
   let open Telemetry.Export in
   let sh = t.shared in
   let series =
@@ -278,19 +272,16 @@ let to_json t =
         (sorted_hists t.detection_latency)
   in
   let links =
-    let acc = ref [] in
-    for r = sh.n - 1 downto 0 do
-      for nx = sh.n - 1 downto 0 do
-        let i = (r * sh.n) + nx in
-        if sh.link_tx.(i) > 0 || sh.link_drop.(i) > 0 then
-          acc :=
-            Assoc
-              [ ("src", Int r); ("dst", Int nx);
-                ("tx", Int sh.link_tx.(i)); ("drops", Int sh.link_drop.(i)) ]
-            :: !acc
-      done
-    done;
-    !acc
+    List.filter_map
+      (fun i ->
+        let tx = Iface.tx_packets i and drops = Iface.dropped_packets i in
+        if tx > 0 || drops > 0 then
+          Some
+            (Assoc
+               [ ("src", Int (Iface.owner i)); ("dst", Int (Iface.next_hop i));
+                 ("tx", Int tx); ("drops", Int drops) ])
+        else None)
+      ifaces
   in
   let routers =
     List.init sh.n (fun r ->
@@ -358,8 +349,6 @@ let ctrl_attempts_hist t = t.ctrl_attempts
 let ctrl_sends t = t.ctrl_sends
 let ctrl_timeouts t = t.ctrl_timeouts
 let queue_depth t r = t.shared.queue_depth.(r)
-let link_tx t ~src ~dst = t.shared.link_tx.((src * t.shared.n) + dst)
-let link_drops t ~src ~dst = t.shared.link_drop.((src * t.shared.n) + dst)
 
 let round_durations t = sorted_hists t.round_duration
 let detection_latencies t = sorted_hists t.detection_latency

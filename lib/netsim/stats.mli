@@ -2,16 +2,18 @@
 
     A [Stats.t] rides along with the {!Probe}: headline event rates as
     downsampling {!Telemetry.Timeseries} rings, latency and duration
-    {!Telemetry.Hist} histograms, per-router queue-depth series and
-    per-link transmit/drop counters — all bounded, all fed with O(1)
-    allocation-free records from the same sites that feed the probe.
+    {!Telemetry.Hist} histograms and per-router queue-depth series — all
+    bounded, all fed with O(1) allocation-free records from the same
+    sites that feed the probe.  Per-link transmit/drop totals are the
+    interfaces' own counters ({!Iface.tx_packets},
+    {!Iface.dropped_packets}), read at export.
 
     Sharded runs keep one {!local} collector per shard, fed on the
     shard's own domain inside windows, and {!drain} them into the main
     collector at every epoch barrier.  Merged state is integer bucket
     counts plus fixed-point sums, so the fold is exact (commutative and
     associative) and the aggregate is byte-identical for every shard
-    count [K >= 1].  Queue-depth tracking and the per-link counters are
+    count [K >= 1].  Queue-depth tracking is a set of
     shared single-writer arrays (router [r]'s cells are only touched by
     the domain executing [r]'s events), so the running depth never
     splits across collectors. *)
@@ -23,7 +25,7 @@ val create : n:int -> unit -> t
 
 val local : t -> t
 (** A per-shard local collector: fresh mergeable series/histograms,
-    {e sharing} the per-router and per-link arrays of the parent. *)
+    {e sharing} the per-router arrays of the parent. *)
 
 val routers : t -> int
 
@@ -36,7 +38,7 @@ val attack_start : t -> float option
 (** {2 Data plane} (safe on shard domains via {!local} collectors) *)
 
 val on_originate : t -> time:float -> Packet.t -> unit
-val on_iface : t -> time:float -> router:int -> next:int -> Iface.event -> unit
+val on_iface : t -> time:float -> router:int -> Iface.event -> unit
 val on_router : t -> time:float -> router:int -> Router.event -> unit
 
 (** {2 Control plane} (coordinator only — feed the main collector) *)
@@ -60,16 +62,17 @@ val merge_into : into:t -> t -> unit
 val drain : into:t -> t -> unit
 (** {!merge_into} followed by clearing [src]'s mergeable collectors —
     the per-epoch-barrier step for per-shard locals.  Shared state
-    (queue depths, link counters) is untouched: it lives in one place
+    (queue depths) is untouched: it lives in one place
     and needs no folding. *)
 
 (** {2 Views} *)
 
-val to_json : t -> Telemetry.Export.json
+val to_json : t -> ifaces:Iface.t list -> Telemetry.Export.json
 (** The "stats" section of the metrics document: headline series,
     histograms (with deterministic p50/p95/p99), ctrl channel counters,
-    per-link totals and per-router queue-depth series.  Deterministically
-    ordered. *)
+    per-link totals of [ifaces] (those that transmitted or dropped
+    anything, in the given order) and per-router queue-depth series.
+    Deterministically ordered given {!Net.ifaces}. *)
 
 val json_of_series : string -> Telemetry.Timeseries.t -> Telemetry.Export.json
 val json_of_hist : string -> Telemetry.Hist.t -> Telemetry.Export.json
@@ -91,7 +94,5 @@ val ctrl_attempts_hist : t -> Telemetry.Hist.t
 val ctrl_sends : t -> int
 val ctrl_timeouts : t -> int
 val queue_depth : t -> int -> Telemetry.Timeseries.t
-val link_tx : t -> src:int -> dst:int -> int
-val link_drops : t -> src:int -> dst:int -> int
 val round_durations : t -> (string * Telemetry.Hist.t) list
 val detection_latencies : t -> (string * Telemetry.Hist.t) list

@@ -263,16 +263,17 @@ let to_string_opt = function String s -> Some s | _ -> None
 let json_of_sample = function
   | Metrics.Counter_sample c -> [ ("type", String "counter"); ("value", Int c) ]
   | Metrics.Gauge_sample g -> [ ("type", String "gauge"); ("value", Float g) ]
-  | Metrics.Histogram_sample { uppers; counts; sum; count } ->
+  | Metrics.Histogram_sample { hist; sum } ->
       [ ("type", String "histogram");
-        ("count", Int count);
+        ("count", Int (Hist.count hist));
         ("sum", Float sum);
         ("buckets",
          List
            (Array.to_list
               (Array.mapi
-                 (fun i c -> Assoc [ ("le", Float uppers.(i)); ("count", Int c) ])
-                 counts))) ]
+                 (fun i le ->
+                   Assoc [ ("le", Float le); ("count", Int (Hist.bucket_count hist i)) ])
+                 (Hist.uppers hist)))) ]
 
 let json_of_registry reg =
   List
@@ -370,55 +371,15 @@ let prom_float f =
   else if f = Float.neg_infinity then "-Inf"
   else Printf.sprintf "%.12g" f
 
-let prometheus_of_registry reg =
-  let buf = Buffer.create 4096 in
-  let seen_header = Hashtbl.create 16 in
-  List.iter
-    (fun (name, help, labels, sample) ->
-      let kind =
-        match sample with
-        | Metrics.Counter_sample _ -> "counter"
-        | Metrics.Gauge_sample _ -> "gauge"
-        | Metrics.Histogram_sample _ -> "histogram"
-      in
-      if not (Hashtbl.mem seen_header name) then begin
-        Hashtbl.add seen_header name ();
-        if help <> "" then
-          Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
-      end;
-      match sample with
-      | Metrics.Counter_sample c ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %d\n" name (prom_labels labels) c)
-      | Metrics.Gauge_sample g ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %s\n" name (prom_labels labels) (prom_float g))
-      | Metrics.Histogram_sample { uppers; counts; sum; count } ->
-          let cumulative = ref 0 in
-          Array.iteri
-            (fun i c ->
-              cumulative := !cumulative + c;
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %d\n" name
-                   (prom_labels (labels @ [ ("le", prom_float uppers.(i)) ]))
-                   !cumulative))
-            counts;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %s\n" name (prom_labels labels)
-               (prom_float sum));
-          Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" name (prom_labels labels) count))
-    (Metrics.snapshot reg);
-  Buffer.contents buf
-
-(* Prometheus rendering for the always-on collectors.  The [le=] edges
-   are taken straight from [Hist.uppers], which shares its geometry with
-   [Metrics.histogram] — the two exposition paths agree edge for edge. *)
-let prometheus_append_hist buf ~name ?(help = "") ?(labels = []) h =
+let prom_header buf ~name ~help ~kind =
   if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" name);
-  let uppers = Hist.uppers h in
+  Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
+
+(* Every histogram renders here, registry-held or always-on: cumulative
+   [_bucket{le=...}] lines whose edges are exactly [Hist.uppers], then
+   [_sum] (the caller's: the registry keeps a float sum of its own) and
+   [_count]. *)
+let prom_hist_lines buf ~name ~labels ~sum h =
   let cumulative = ref 0 in
   Array.iteri
     (fun i upper ->
@@ -427,12 +388,41 @@ let prometheus_append_hist buf ~name ?(help = "") ?(labels = []) h =
         (Printf.sprintf "%s_bucket%s %d\n" name
            (prom_labels (labels @ [ ("le", prom_float upper) ]))
            !cumulative))
-    uppers;
+    (Hist.uppers h);
   Buffer.add_string buf
-    (Printf.sprintf "%s_sum%s %s\n" name (prom_labels labels)
-       (prom_float (Hist.sum h)));
+    (Printf.sprintf "%s_sum%s %s\n" name (prom_labels labels) (prom_float sum));
   Buffer.add_string buf
     (Printf.sprintf "%s_count%s %d\n" name (prom_labels labels) (Hist.count h))
+
+let prometheus_of_registry reg =
+  let buf = Buffer.create 4096 in
+  let seen_header = Hashtbl.create 16 in
+  List.iter
+    (fun (name, help, labels, sample) ->
+      if not (Hashtbl.mem seen_header name) then begin
+        Hashtbl.add seen_header name ();
+        prom_header buf ~name ~help
+          ~kind:
+            (match sample with
+            | Metrics.Counter_sample _ -> "counter"
+            | Metrics.Gauge_sample _ -> "gauge"
+            | Metrics.Histogram_sample _ -> "histogram")
+      end;
+      match sample with
+      | Metrics.Counter_sample c ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s%s %d\n" name (prom_labels labels) c)
+      | Metrics.Gauge_sample g ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s%s %s\n" name (prom_labels labels) (prom_float g))
+      | Metrics.Histogram_sample { hist; sum } ->
+          prom_hist_lines buf ~name ~labels ~sum hist)
+    (Metrics.snapshot reg);
+  Buffer.contents buf
+
+let prometheus_append_hist buf ~name ?(help = "") ?(labels = []) h =
+  prom_header buf ~name ~help ~kind:"histogram";
+  prom_hist_lines buf ~name ~labels ~sum:(Hist.sum h) h
 
 let prometheus_of_hist ~name ?help ?labels h =
   let buf = Buffer.create 512 in

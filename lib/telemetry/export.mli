@@ -70,8 +70,9 @@ val prometheus_of_hist :
   name:string -> ?help:string -> ?labels:(string * string) list -> Hist.t ->
   string
 (** Cumulative [_bucket{le=...}] / [_sum] / [_count] lines whose [le=]
-    edges are exactly [Hist.uppers] — byte-compatible with a
-    {!Metrics.histogram} of the same shape. *)
+    edges are exactly [Hist.uppers].  {!prometheus_of_registry} renders
+    its histograms through the same function, reporting the registry's
+    float sum where this reports {!Hist.sum}. *)
 
 val prometheus_append_timeseries :
   Buffer.t -> name:string -> ?help:string -> ?labels:(string * string) list ->

@@ -1,19 +1,17 @@
-(* Mergeable HDR-style log-bucketed histogram.
+(* Mergeable HDR-style log-bucketed histogram: the one bucket geometry
+   of the telemetry layer.  Bin 0 collects values <= 0, bin i
+   (1 <= i < n-1) the upper-inclusive range (2^(i-2+min_exp),
+   2^(i-1+min_exp)], last bin overflow.  Metrics.histogram wraps one of
+   these, and every Prometheus histogram line is rendered from it.
 
-   Bucket geometry is identical to Metrics.histogram — bin 0 collects
-   values <= 0, bin i (1 <= i < n-1) the upper-inclusive range
-   (2^(i-2+min_exp), 2^(i-1+min_exp)], last bin overflow — so the
-   Prometheus exporter can emit the exact same le= edges for both.
-
-   The twist relative to Metrics.histogram is [merge]: per-shard local
-   collectors are folded together at epoch barriers, and the result must
-   be byte-identical for every shard count.  Bucket counts are ints, so
-   their addition is exact; the running sum would NOT be (float addition
-   is commutative but not associative, and each shard accumulates its
-   own subsequence), so the sum is kept in fixed point — an integer
-   count of 2^-26 quanta (~15 ns when the unit is seconds).  Integer
-   addition is exact, hence merge is commutative AND associative, hence
-   shard-order-independent. *)
+   Per-shard local collectors are folded together at epoch barriers,
+   and the result must be byte-identical for every shard count.  Bucket
+   counts are ints, so their addition is exact; the running sum would
+   NOT be (float addition is commutative but not associative, and each
+   shard accumulates its own subsequence), so the sum is kept in fixed
+   point — an integer count of 2^-26 quanta (~15 ns when the unit is
+   seconds).  Integer addition is exact, hence merge is commutative AND
+   associative, hence shard-order-independent. *)
 
 type t = {
   counts : int array; (* [0]: <= 0; [i]: (2^(i-2+min_exp), 2^(i-1+min_exp)];
@@ -45,8 +43,10 @@ let quantize v = int_of_float (Float.round (v *. 0x1p26))
 let sum t = float_of_int t.sum_q *. quantum
 let mean t = if t.count = 0 then 0.0 else sum t /. float_of_int t.count
 
-(* Same exponent extraction as Metrics.bucket_index: ceil log2 because
-   edges are upper-inclusive. *)
+(* ceil, not floor: buckets are upper-inclusive (2^(e-1), 2^e] so they
+   agree with the le= edges the Prometheus exporter emits.  [not (v <
+   infinity)] also catches NaN; int_of_float of either is unspecified,
+   so both go to the overflow bin explicitly. *)
 let bucket_index t v =
   if v <= 0.0 then 0
   else begin
@@ -118,9 +118,15 @@ let p99 t = quantile t 0.99
 (* Rebuild from exported raw state (Export round-trips through this).
    [count] is derivable — every record increments exactly one bucket —
    and [sum] re-quantizes exactly because exported sums are exact
-   multiples of [quantum]. *)
+   multiples of [quantum].  The input is a user's file: a negative count
+   or a sum the fixed point cannot hold is refused, not wrapped. *)
+let sum_limit = 0x1p36
+
 let of_raw ~min_exp ~counts ~sum =
   if Array.length counts < 3 then invalid_arg "Hist.of_raw: need at least 3 buckets";
+  if Array.exists (fun c -> c < 0) counts then invalid_arg "Hist.of_raw: negative count";
+  if not (Float.abs sum < sum_limit) then
+    invalid_arg "Hist.of_raw: sum not finite or beyond 2^36";
   { counts = Array.copy counts;
     min_exp;
     count = Array.fold_left ( + ) 0 counts;

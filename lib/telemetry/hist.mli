@@ -1,16 +1,17 @@
-(** Mergeable HDR-style log-bucketed histogram.
+(** Mergeable HDR-style log-bucketed histogram: the telemetry layer's
+    one bucket geometry.  Bin 0 collects values [<= 0], bin [i]
+    ([1 <= i < buckets-1]) the upper-inclusive range
+    [(2^(i-2+min_exp), 2^(i-1+min_exp)]], and the last bin is the
+    overflow.  {!Metrics.histogram} wraps a [Hist.t], and
+    {!Export} renders every Prometheus histogram from one, so [le=]
+    edges are always exactly {!uppers}.
 
-    Bucket geometry matches {!Metrics.histogram} exactly — bin 0
-    collects values [<= 0], bin [i] ([1 <= i < buckets-1]) the
-    upper-inclusive range [(2^(i-2+min_exp), 2^(i-1+min_exp)]], last bin
-    overflow — so Prometheus [le=] edges agree between the two.
-
-    Unlike [Metrics.histogram], a [Hist.t] is built to be {e merged}:
-    per-shard local collectors are combined at epoch barriers, and the
-    combined result must be byte-identical for every shard count.
-    Bucket counts are ints and the value sum is held in fixed point
-    ({!quantum} units), so {!merge} is exact integer addition —
-    commutative {e and} associative, hence independent of merge order.
+    A [Hist.t] is built to be {e merged}: per-shard local collectors are
+    combined at epoch barriers, and the combined result must be
+    byte-identical for every shard count.  Bucket counts are ints and
+    the value sum is held in fixed point ({!quantum} units), so {!merge}
+    is exact integer addition — commutative {e and} associative, hence
+    independent of merge order.
 
     [record] is O(1) and allocation-free. *)
 
@@ -33,7 +34,9 @@ val copy : t -> t
 val clear : t -> unit
 
 val record : t -> float -> unit
-(** Count a value: one array increment, one int add.  No allocation. *)
+(** Count a value: one array increment, one int add.  No allocation.
+    Requires [|v| < 2^36]: beyond that the fixed-point {!sum} overflows
+    and is unspecified (the bucket counts stay right). *)
 
 val merge_into : into:t -> t -> unit
 (** Fold [src] into [into] (exact integer addition).  Raises
@@ -74,4 +77,5 @@ val of_raw : min_exp:int -> counts:int array -> sum:float -> t
 (** Rebuild a histogram from exported state ({!Export.hist_of_json}):
     the total count is the bucket sum, and [sum] — an exact multiple of
     {!quantum} in any exported document — re-quantizes losslessly.
-    Raises [Invalid_argument] on fewer than 3 buckets. *)
+    Raises [Invalid_argument] on fewer than 3 buckets, a negative
+    count, or a [sum] that is not finite or has [|sum| >= 2^36]. *)

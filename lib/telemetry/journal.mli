@@ -4,8 +4,9 @@
     the memory footprint is set at creation no matter how many events
     flow through — under sustained load the journal keeps the newest
     [capacity] records and counts the rest as dropped.  This is the one
-    storage primitive behind {!Netsim.Probe}, {!Netsim.Tracer},
-    {!Netsim.Meter} and {!Span}.
+    storage primitive behind {!Netsim.Probe}, the attacker trace of
+    [mrdetect simulate --trace N] (rendered by {!Netsim.Probe.describe})
+    and {!Span}.
 
     {b Single-writer}: the ring indices are plain mutable fields, so a
     journal belongs to one domain — the first domain to {!record} after

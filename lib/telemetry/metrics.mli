@@ -3,8 +3,8 @@
 
     Registration (the cold path) resolves a (name, label set) pair to a
     handle; the hot path works on the handle alone — an {!inc} is a
-    single in-place integer update and an {!observe} an exponent
-    extraction plus two in-place updates, so instrumentation can stay in
+    single in-place integer update and an {!observe} one
+    {!Hist.record} plus a float add, so instrumentation can stay in
     per-packet code.  Registering the same (name, labels) twice returns
     the same handle, so label families ("per router", "per drop cause")
     need no bookkeeping at the call site. *)
@@ -33,12 +33,10 @@ val histogram :
   ?min_exp:int ->
   string ->
   histogram
-(** Register a base-2 log-bucketed histogram with [buckets] bins
-    (default 32, minimum 3): bin 0 collects values [<= 0], bin [i]
-    ([1 <= i < buckets-1]) the half-open range
-    [(2^(i-2+min_exp), 2^(i-1+min_exp)]] (so with the default
-    [min_exp = 0], bin 1 is everything in [(0, 1]]), and the last bin is
-    the overflow.  Raises [Invalid_argument] for fewer than 3 buckets. *)
+(** Register a base-2 log-bucketed histogram: a {!Hist.t} of [buckets]
+    bins (default 32, minimum 3) starting at [min_exp] (default 0; see
+    {!Hist} for the geometry), plus a float sum of the observed values.
+    Raises [Invalid_argument] for fewer than 3 buckets. *)
 
 val inc : counter -> unit
 val add : counter -> int -> unit
@@ -49,22 +47,14 @@ val add_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
-
-val bucket_index : histogram -> float -> int
-(** The bin {!observe} would count a value into (exposed for tests and
-    exporters). *)
-
-val bucket_upper : histogram -> int -> float
-(** Inclusive upper edge of a bin; [+inf] for the overflow bin. *)
-
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
+(** {!Hist.record} the value and add it to the float sum, which (unlike
+    the Hist's fixed-point sum) is what the exporters report. *)
 
 type sample =
   | Counter_sample of int
   | Gauge_sample of float
-  | Histogram_sample of { uppers : float array; counts : int array;
-                          sum : float; count : int }
+  | Histogram_sample of { hist : Hist.t; sum : float }
+      (** the live buckets (not a copy) and the float sum *)
 
 val snapshot : t -> (string * string * (string * string) list * sample) list
 (** [(name, help, labels, sample)] for every registered series in

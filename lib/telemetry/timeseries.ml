@@ -117,7 +117,9 @@ let merge a b =
 
 (* Rebuild from exported raw state (Export round-trips through this).
    Exported per-bucket sums are exact multiples of Hist.quantum, so the
-   fixed-point representation is recovered losslessly. *)
+   fixed-point representation is recovered losslessly.  The input is a
+   user's file: negative counts and sums the fixed point cannot hold
+   (|s| >= 2^36, as for Hist) are refused, not wrapped. *)
 let of_raw ~capacity ~resolution ~level ~counts ~sums =
   if capacity < 2 then invalid_arg "Timeseries.of_raw: capacity < 2";
   if not (resolution > 0.0) then
@@ -127,6 +129,10 @@ let of_raw ~capacity ~resolution ~level ~counts ~sums =
   if Array.length sums <> used then
     invalid_arg "Timeseries.of_raw: counts/sums length mismatch";
   if used > capacity then invalid_arg "Timeseries.of_raw: more buckets than capacity";
+  if Array.exists (fun c -> c < 0) counts then
+    invalid_arg "Timeseries.of_raw: negative count";
+  if Array.exists (fun s -> not (Float.abs s < 0x1p36)) sums then
+    invalid_arg "Timeseries.of_raw: sum not finite or beyond 2^36";
   let t =
     { capacity; res0 = resolution; level;
       res = resolution *. Float.pow 2.0 (float_of_int level);

@@ -72,4 +72,5 @@ val of_raw :
     [resolution] is the {e base} resolution, [counts]/[sums] the leading
     used buckets at the given [level].  Exported sums are exact multiples
     of {!Hist.quantum} and re-quantize losslessly.  Raises
-    [Invalid_argument] on shape errors. *)
+    [Invalid_argument] on shape errors, a negative count, or a sum that
+    is not finite or has [|s| >= 2^36]. *)

@@ -367,54 +367,151 @@ let test_ping_loss () =
   Net.run net;
   Alcotest.(check int) "all lost" (Ping.sent p) (Ping.lost p)
 
-(* --- Tracer --- *)
+(* --- event traces: a bounded Journal of typed records, rendered by
+   Probe.describe --- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec scan i = i + n <= String.length s && (String.sub s i n = sub || scan (i + 1)) in
+  scan 0
+
+let probe_lines p =
+  List.map Probe.describe (Telemetry.Journal.to_list (Probe.journal p))
 
 let test_tracer_records_and_bounds () =
   let net = line_net 3 in
-  let tracer = Tracer.attach ~net ~capacity:50 () in
+  let p = Probe.create ~journal_capacity:50 () in
+  Net.set_probe net (Some p);
   ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:100.0 ~size:200 ~start:0.0 ~stop:1.0);
   Net.run net;
-  Alcotest.(check bool) "recorded plenty" true (Tracer.count tracer > 50);
-  Alcotest.(check int) "ring bounded" 50 (List.length (Tracer.events tracer));
+  Alcotest.(check bool) "recorded plenty" true
+    (Telemetry.Journal.total (Probe.journal p) > 50);
+  Alcotest.(check int) "ring bounded" 50 (List.length (probe_lines p));
   (* Lines are timestamped and chronological. *)
   let times =
     List.map (fun line -> float_of_string (List.hd (String.split_on_char ' ' line)))
-      (Tracer.events tracer)
+      (probe_lines p)
   in
   Alcotest.(check bool) "chronological" true (List.sort compare times = times)
 
+(* simulate --trace N keeps the newest N events at the attacker only. *)
 let test_tracer_filters () =
-  let net = line_net 3 in
-  let f1 = Flow.cbr net ~src:0 ~dst:2 ~rate_pps:20.0 ~size:200 ~start:0.0 ~stop:1.0 in
-  let f2 = Flow.cbr net ~src:2 ~dst:0 ~rate_pps:20.0 ~size:200 ~start:0.0 ~stop:1.0 in
-  let tracer = Tracer.attach ~net ~flows:[ Flow.flow_id f1 ] () in
-  Net.run net;
-  let marker = Printf.sprintf "flow=%d" (Flow.flow_id f2) in
+  let out = Filename.temp_file "trace" ".out" in
+  let oc = open_out out in
+  let backup = Unix.dup Unix.stdout in
+  flush stdout;
+  Unix.dup2 (Unix.descr_of_out_channel oc) Unix.stdout;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 backup Unix.stdout;
+      Unix.close backup;
+      close_out oc)
+    (fun () ->
+      Experiments.Simulate.run
+        (Experiments.Simulate.Config.make_exn ~protocol:"perlman" ~duration:6.0
+           ~attacker:2 ~trace:40 Experiments.Simulate.Ring));
+  let lines = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  let rec after_header = function
+    | [] -> Alcotest.fail "no trace header"
+    | l :: rest -> if contains l "last 40 events at router 2" then rest else after_header rest
+  in
+  let trace =
+    List.filter (fun l -> l <> "") (after_header (String.split_on_char '\n' lines))
+  in
+  Alcotest.(check int) "newest 40" 40 (List.length trace);
   List.iter
-    (fun line ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec scan i = i + n <= String.length s && (String.sub s i n = sub || scan (i + 1)) in
-        scan 0
-      in
-      if contains line marker then Alcotest.fail "filtered flow leaked into trace")
-    (Tracer.events tracer)
+    (fun l ->
+      match String.split_on_char ' ' (String.trim l) with
+      | _ :: hop :: _ when hop = "r2" || String.starts_with ~prefix:"r2->" hop -> ()
+      | _ -> Alcotest.failf "event at another router: %s" l)
+    trace
 
 let test_tracer_marks_malice () =
   let net = line_net 3 in
   Router.set_behavior (Net.router net 1) (Core.Adversary.drop_fraction ~seed:2 0.5);
-  let tracer = Tracer.attach ~net ~capacity:5000 () in
+  let p = Probe.create ~journal_capacity:5000 () in
+  Net.set_probe net (Some p);
   ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:50.0 ~size:200 ~start:0.0 ~stop:1.0);
   Net.run net;
   Alcotest.(check bool) "malicious drops visible" true
-    (List.exists
-       (fun line ->
-         let n = String.length "MALICIOUS-drop" in
-         let rec scan i =
-           i + n <= String.length line && (String.sub line i n = "MALICIOUS-drop" || scan (i + 1))
-         in
-         scan 0)
-       (Tracer.events tracer))
+    (List.exists (fun line -> contains line "MALICIOUS-drop") (probe_lines p))
+
+(* --- always-on counters agree with the probe --- *)
+
+(* One run with every drop cause: RED early and forced drops at the
+   congested 0->1 queue, a 0.5 s outage of 2->1, corruption on 2->3
+   and a router that drops a tenth of its transit. *)
+let all_causes_run ~shards ~probe =
+  let g = Gen.line ~n:4 in
+  let net =
+    Net.create ~seed:5 ~jitter_bound:100e-6 ~queue:(Net.Red Red.default_params)
+      ~shards g
+  in
+  Net.set_probe net probe;
+  Net.use_routing net (Rt.compute g);
+  ignore (Flow.cbr net ~src:0 ~dst:3 ~rate_pps:2500.0 ~size:1000 ~start:0.0 ~stop:3.0);
+  ignore (Flow.cbr net ~src:3 ~dst:0 ~rate_pps:300.0 ~size:500 ~start:0.0 ~stop:3.0);
+  Net.set_link_corruption net ~src:2 ~dst:3 0.05;
+  Router.set_behavior (Net.router net 1) (Core.Adversary.drop_fraction ~seed:3 0.1);
+  let sim = Net.sim net in
+  Sim.schedule sim ~delay:1.0 (fun () -> Net.fail_link net ~src:2 ~dst:1);
+  Sim.schedule sim ~delay:1.5 (fun () -> Net.restore_link net ~src:2 ~dst:1);
+  Net.run ~until:3.5 net;
+  net
+
+let counter_totals net =
+  let sum f = List.fold_left (fun acc i -> acc + f i) 0 (Net.ifaces net) in
+  [ ("congestion", sum Iface.congestion_drops);
+    ("red_early", sum Iface.red_early_drops);
+    ("link_down", sum Iface.link_down_drops);
+    ("corrupted", sum Iface.corrupted_drops);
+    ("malicious",
+     List.fold_left
+       (fun acc r -> acc + Router.malicious_drops (Net.router net r))
+       0 (List.init 4 Fun.id));
+    ("enqueued", sum Iface.enqueued_packets);
+    ("dropped", sum Iface.dropped_packets) ]
+
+let probe_counter p name labels =
+  match
+    List.find_map
+      (fun (n, _, l, sample) ->
+        match sample with
+        | Telemetry.Metrics.Counter_sample c when n = name && l = labels -> Some c
+        | _ -> None)
+      (Telemetry.Metrics.snapshot (Probe.registry p))
+  with
+  | Some c -> c
+  | None -> Alcotest.failf "no counter %s" name
+
+let check_counters_agree shards () =
+  let p = Probe.create () in
+  let net = all_causes_run ~shards ~probe:(Some p) in
+  let totals = counter_totals net in
+  let causes = [ "congestion"; "red_early"; "link_down"; "corrupted"; "malicious" ] in
+  List.iter
+    (fun cause ->
+      let mine = List.assoc cause totals in
+      Alcotest.(check bool) (cause ^ " happened") true (mine > 0);
+      Alcotest.(check int) cause
+        (probe_counter p "pkt_dropped_total" [ ("cause", cause) ]) mine)
+    causes;
+  Alcotest.(check int) "enqueued"
+    (probe_counter p "pkt_enqueued_total" []) (List.assoc "enqueued" totals);
+  Alcotest.(check int) "dropped_packets is the per-cause sum"
+    (List.fold_left
+       (fun acc c -> if c = "malicious" then acc else acc + List.assoc c totals)
+       0 causes)
+    (List.assoc "dropped" totals)
+
+let test_counters_unobserved () =
+  (* The classic engine runs the same events with or without a probe,
+     and the counters do not depend on anything observing them. *)
+  let observed = counter_totals (all_causes_run ~shards:0 ~probe:(Some (Probe.create ()))) in
+  let bare = counter_totals (all_causes_run ~shards:0 ~probe:None) in
+  Alcotest.(check (list (pair string int))) "same counts" observed bare
 
 (* --- TCP --- *)
 
@@ -652,6 +749,10 @@ let () =
         [ Alcotest.test_case "records and bounds" `Quick test_tracer_records_and_bounds;
           Alcotest.test_case "filters" `Quick test_tracer_filters;
           Alcotest.test_case "marks malice" `Quick test_tracer_marks_malice ] );
+      ( "counters",
+        [ Alcotest.test_case "agree with probe K=0" `Quick (check_counters_agree 0);
+          Alcotest.test_case "agree with probe K=2" `Quick (check_counters_agree 2);
+          Alcotest.test_case "unobserved" `Quick test_counters_unobserved ] );
       ( "tcp",
         [ Alcotest.test_case "completes" `Quick test_tcp_completes_transfer;
           Alcotest.test_case "goodput" `Quick test_tcp_goodput_bounded;

@@ -165,6 +165,48 @@ let test_timeseries_roundtrip () =
           (Ts.bucket_sum ts i) (Ts.bucket_sum ts' i)
       done
 
+(* Documents read back from disk are outside input: values the
+   fixed-point state cannot hold must be refused, not wrapped. *)
+let test_hist_rejects () =
+  List.iter
+    (fun text ->
+      match Export.of_string text with
+      | Error e -> Alcotest.failf "fixture %s does not parse: %s" text e
+      | Ok j -> (
+          match Export.hist_of_json j with
+          | Ok h ->
+              Alcotest.failf "%s accepted (count %d, sum %g)" text (Hist.count h)
+                (Hist.sum h)
+          | Error _ -> ()))
+    [ {|{"min_exp":0,"counts":[0,1,2],"sum":1e999}|};
+      {|{"min_exp":0,"counts":[0,1,2],"sum":-1e999}|};
+      {|{"min_exp":0,"counts":[0,1,2],"sum":1e20}|};
+      {|{"min_exp":0,"counts":[0,1,2],"sum":68719476736}|};
+      {|{"min_exp":0,"counts":[0,-5,2],"sum":1}|} ];
+  match
+    Result.bind
+      (Export.of_string {|{"min_exp":0,"counts":[0,1,2],"sum":68719476735}|})
+      Export.hist_of_json
+  with
+  | Ok h -> Alcotest.(check (float 0.0)) "sum just under 2^36" 68719476735.0 (Hist.sum h)
+  | Error e -> Alcotest.failf "sum just under 2^36 refused: %s" e
+
+let test_timeseries_rejects () =
+  let doc counts sums =
+    Printf.sprintf
+      {|{"capacity":8,"base_resolution":0.5,"level":0,"counts":%s,"sums":%s}|}
+      counts sums
+  in
+  List.iter
+    (fun text ->
+      match Result.bind (Export.of_string text) Export.timeseries_of_json with
+      | Ok _ -> Alcotest.failf "%s accepted" text
+      | Error _ -> ())
+    [ doc "[1,2]" "[1e999,0]"; doc "[1,2]" "[0,1e20]"; doc "[1,-5]" "[0,1]" ];
+  match Result.bind (Export.of_string (doc "[1,2]" "[0.5,3]")) Export.timeseries_of_json with
+  | Ok ts -> Alcotest.(check int) "well-formed series accepted" 3 (Ts.total_count ts)
+  | Error e -> Alcotest.failf "well-formed series refused: %s" e
+
 (* The Prometheus rendering of a Hist must use exactly the le edges the
    registry histogram with the same geometry emits — the satellite
    contract tying the always-on layer to the existing exporter. *)
@@ -259,6 +301,8 @@ let () =
       ( "roundtrip",
         [ Alcotest.test_case "hist json" `Quick test_hist_roundtrip;
           Alcotest.test_case "timeseries json" `Quick test_timeseries_roundtrip;
+          Alcotest.test_case "hist rejects bad input" `Quick test_hist_rejects;
+          Alcotest.test_case "timeseries rejects bad input" `Quick test_timeseries_rejects;
           Alcotest.test_case "prometheus le edges" `Quick test_prom_le_edges_agree ] );
       ( "benchgate",
         [ Alcotest.test_case "lower-better band" `Quick test_gate_lower_better;

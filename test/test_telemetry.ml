@@ -9,49 +9,52 @@ open Telemetry
 (* --- histograms: bucketing edge cases --- *)
 
 let test_histogram_zero_and_negative () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:8 "h" in
-  Alcotest.(check int) "zero lands in bin 0" 0 (Metrics.bucket_index h 0.0);
-  Alcotest.(check int) "negative lands in bin 0" 0 (Metrics.bucket_index h (-3.5));
-  Metrics.observe h 0.0;
-  Metrics.observe h (-1.0);
-  Alcotest.(check int) "count tracks observes" 2 (Metrics.histogram_count h)
+  let h = Hist.create ~buckets:8 () in
+  Alcotest.(check int) "zero lands in bin 0" 0 (Hist.bucket_index h 0.0);
+  Alcotest.(check int) "negative lands in bin 0" 0 (Hist.bucket_index h (-3.5));
+  Hist.record h 0.0;
+  Hist.record h (-1.0);
+  Alcotest.(check int) "count tracks records" 2 (Hist.count h)
 
 let test_histogram_boundaries () =
   (* With min_exp = 0: bin 1 is (0, 1], bin 2 is (1, 2], bin 3 is (2, 4]. *)
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:8 "h" in
-  Alcotest.(check int) "1.0 in bin 1" 1 (Metrics.bucket_index h 1.0);
-  Alcotest.(check int) "just above 1 in bin 2" 2 (Metrics.bucket_index h 1.0001);
-  Alcotest.(check int) "2.0 in bin 2" 2 (Metrics.bucket_index h 2.0);
-  Alcotest.(check int) "3.0 in bin 3" 3 (Metrics.bucket_index h 3.0);
-  Alcotest.(check int) "4.0 in bin 3" 3 (Metrics.bucket_index h 4.0);
-  Alcotest.(check (float 1e-9)) "bin 3 upper edge" 4.0 (Metrics.bucket_upper h 3)
+  let h = Hist.create ~buckets:8 () in
+  Alcotest.(check int) "1.0 in bin 1" 1 (Hist.bucket_index h 1.0);
+  Alcotest.(check int) "just above 1 in bin 2" 2 (Hist.bucket_index h 1.0001);
+  Alcotest.(check int) "2.0 in bin 2" 2 (Hist.bucket_index h 2.0);
+  Alcotest.(check int) "3.0 in bin 3" 3 (Hist.bucket_index h 3.0);
+  Alcotest.(check int) "4.0 in bin 3" 3 (Hist.bucket_index h 4.0);
+  Alcotest.(check (float 1e-9)) "bin 3 upper edge" 4.0 (Hist.bucket_upper h 3)
 
 let test_histogram_overflow () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:4 "h" in
+  let h = Hist.create ~buckets:4 () in
   (* buckets = 4: bin 0 (<= 0), bin 1 (0,1], bin 2 (1,2], bin 3 overflow. *)
   Alcotest.(check int) "huge value in overflow bin" 3
-    (Metrics.bucket_index h 1e30);
+    (Hist.bucket_index h 1e30);
   Alcotest.(check int) "infinity in overflow bin" 3
-    (Metrics.bucket_index h infinity);
+    (Hist.bucket_index h infinity);
   Alcotest.(check bool) "overflow upper edge is +inf" true
-    (Metrics.bucket_upper h 3 = infinity);
-  Metrics.observe h 1e30;
-  Metrics.observe h 0.5;
-  Alcotest.(check int) "count" 2 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e20)) "sum" 1e30 (Metrics.histogram_sum h)
+    (Hist.bucket_upper h 3 = infinity);
+  (* A registry histogram keeps a float sum beside its Hist, exact for
+     any finite value (Hist's own fixed-point sum needs |v| < 2^36). *)
+  let reg = Metrics.create () in
+  Metrics.observe (Metrics.histogram reg ~buckets:4 "h") 1e30;
+  Metrics.observe (Metrics.histogram reg ~buckets:4 "h") 0.5;
+  match Metrics.snapshot reg with
+  | [ (_, _, _, Metrics.Histogram_sample { hist; sum }) ] ->
+      Alcotest.(check int) "count" 2 (Hist.count hist);
+      Alcotest.(check int) "overflow bin counted" 1 (Hist.bucket_count hist 3);
+      Alcotest.(check (float 1e20)) "sum" 1e30 sum
+  | _ -> Alcotest.fail "expected one histogram series"
 
 let test_histogram_min_exp () =
   (* min_exp shifts the whole ladder: with min_exp = -14, bin 1 is
      (0, 2^-14] — sub-millisecond latencies stay distinguishable. *)
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:24 ~min_exp:(-14) "lat" in
-  Alcotest.(check int) "2^-14 in bin 1" 1 (Metrics.bucket_index h (Float.pow 2.0 (-14.0)));
-  Alcotest.(check int) "2^-13 in bin 2" 2 (Metrics.bucket_index h (Float.pow 2.0 (-13.0)));
+  let h = Hist.create ~buckets:24 ~min_exp:(-14) () in
+  Alcotest.(check int) "2^-14 in bin 1" 1 (Hist.bucket_index h (Float.pow 2.0 (-14.0)));
+  Alcotest.(check int) "2^-13 in bin 2" 2 (Hist.bucket_index h (Float.pow 2.0 (-13.0)));
   Alcotest.(check bool) "tiny value above zero not in bin 0" true
-    (Metrics.bucket_index h 1e-9 >= 1)
+    (Hist.bucket_index h 1e-9 >= 1)
 
 (* --- counters: label cardinality --- *)
 
@@ -349,6 +352,129 @@ let test_simulate_metrics_conserve () =
           Alcotest.(check int) "dropped counter family sums to the block"
             dropped (sum_counter "pkt_dropped_total"))
 
+(* --- Export fuzz (fixed seed) --- *)
+
+(* Floats that survive the emitter's 12-significant-digit rendering:
+   finite, already rounded to 12 digits, and not integral below 1e15
+   (those print as integers and read back as [Int]). *)
+let gen_float =
+  QCheck.Gen.(
+    map
+      (fun (m, e) ->
+        let f = float_of_string (Printf.sprintf "%.12g" (ldexp m e)) in
+        if Float.is_integer f && Float.abs f < 1e15 then 0.5 else f)
+      (pair (float_range (-1.0) 1.0) (int_range (-60) 60)))
+
+(* Arbitrary bytes: quotes, backslashes and control characters exercise
+   every escape the emitter writes. *)
+let gen_string =
+  QCheck.Gen.(
+    string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; '\031' ] ])
+      (int_bound 12))
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [ return Export.Null;
+                 map (fun b -> Export.Bool b) bool;
+                 map (fun i -> Export.Int i) int;
+                 map (fun f -> Export.Float f) gen_float;
+                 map (fun s -> Export.String s) gen_string ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (1, map (fun xs -> Export.List xs) (list_size (int_bound 5) (self (depth - 1))));
+                 (1,
+                  map
+                    (fun kvs -> Export.Assoc kvs)
+                    (list_size (int_bound 5) (pair gen_string (self (depth - 1))))) ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string j) = Ok j" ~count:500
+    (QCheck.make ~print:Export.to_string gen_json)
+    (fun j -> Export.of_string (Export.to_string j) = Ok j)
+
+let gen_hist =
+  QCheck.Gen.(
+    map
+      (fun ((buckets, min_exp), values) ->
+        let h = Hist.create ~buckets ~min_exp () in
+        List.iter (Hist.record h) values;
+        h)
+      (pair
+         (pair (int_range 3 40) (int_range (-20) 10))
+         (list_size (int_bound 50)
+            (oneof [ float_range (-1e6) 1e6; float_range 0.0 1e-3; return 0.0 ]))))
+
+let prop_hist_roundtrip =
+  QCheck.Test.make ~name:"hist_of_json (json_of_hist h) = h" ~count:300
+    (QCheck.make ~print:(fun h -> Export.to_string (Export.json_of_hist h)) gen_hist)
+    (fun h ->
+      match Export.hist_of_json (Export.json_of_hist h) with
+      | Error _ -> false
+      | Ok h' ->
+          Export.json_of_hist h' = Export.json_of_hist h
+          && Hist.count h' = Hist.count h
+          && Hist.buckets h' = Hist.buckets h)
+
+(* Byte pin on the whole metrics export of one run.  The .prom text is
+   deterministic as it stands; the JSON document is pinned minus its
+   wall-clock fields ("phases", and the engine's cpu_seconds_in_run and
+   events_per_cpu_second), re-emitted through Export so the digest does
+   not depend on anything but content.  The digests were recorded from a
+   known-good build: a mismatch means an exported byte moved. *)
+let run_quiet_metrics ~shards ~suffix =
+  let path = Filename.temp_file "mrdetect_pin" suffix in
+  let devnull = open_out "/dev/null" in
+  let stdout_backup = Unix.dup Unix.stdout in
+  flush stdout;
+  Unix.dup2 (Unix.descr_of_out_channel devnull) Unix.stdout;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 stdout_backup Unix.stdout;
+      Unix.close stdout_backup;
+      close_out devnull)
+    (fun () ->
+      Experiments.Simulate.run
+        (Experiments.Simulate.Config.make_exn ~protocol:"fatih" ~duration:12.0
+           ~seed:7 ~metrics:path ~shards Experiments.Simulate.Ring));
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let without_wall_clock doc =
+  let drop keys = function
+    | Export.Assoc kvs ->
+        Export.Assoc (List.filter (fun (k, _) -> not (List.mem k keys)) kvs)
+    | j -> j
+  in
+  match drop [ "phases" ] doc with
+  | Export.Assoc kvs ->
+      Export.Assoc
+        (List.map
+           (fun (k, v) ->
+             if k = "engine" then
+               (k, drop [ "cpu_seconds_in_run"; "events_per_cpu_second" ] v)
+             else (k, v))
+           kvs)
+  | j -> j
+
+let check_export_pin ~shards ~prom ~json () =
+  let prom_text = run_quiet_metrics ~shards ~suffix:".prom" in
+  Alcotest.(check string) "prometheus text digest" prom
+    (Digest.to_hex (Digest.string prom_text));
+  match Export.of_string (run_quiet_metrics ~shards ~suffix:".json") with
+  | Error e -> Alcotest.failf "metrics file is not valid JSON: %s" e
+  | Ok doc ->
+      Alcotest.(check string) "json digest" json
+        (Digest.to_hex (Digest.string (Export.to_string (without_wall_clock doc))))
+
 let () =
   Alcotest.run "telemetry"
     [ ("histogram",
@@ -371,11 +497,21 @@ let () =
        [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
          Alcotest.test_case "special floats" `Quick test_json_special_floats;
          Alcotest.test_case "accessors" `Quick test_json_accessors;
-         Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes ]);
+         Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
+         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150a |])
+           prop_json_roundtrip;
+         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150b |])
+           prop_hist_roundtrip ]);
       ("prometheus",
        [ Alcotest.test_case "label escaping" `Quick test_prom_label_escaping;
          Alcotest.test_case "histogram le edges" `Quick
            test_prom_histogram_le_edges ]);
       ("golden",
        [ Alcotest.test_case "simulate --metrics conserves" `Quick
-           test_simulate_metrics_conserve ]) ]
+           test_simulate_metrics_conserve;
+         Alcotest.test_case "metrics export pinned K=0" `Quick
+           (check_export_pin ~shards:0 ~prom:"efba477a8ac20a3711d2ea307314904e"
+              ~json:"ac79b9186d2d3bec9d0fa8352d2f84ff");
+         Alcotest.test_case "metrics export pinned K=2" `Quick
+           (check_export_pin ~shards:2 ~prom:"2470915eacf0669e01ca39ad7d9300e3"
+              ~json:"d8a2dceee4cdbf302ec26fc4e5a552f7") ]) ]
