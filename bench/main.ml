@@ -506,10 +506,18 @@ let recorded_seed_events_per_second = 3984214.25394
    load only ever inflates a reading.  Unlike the other artifacts this
    one is written on --smoke too (with the [smoke] flag set and
    meaningless numbers) so the @bench-smoke alias exercises the writer
-   end to end. *)
-let reference_alloc_run ~horizon ~pooling () =
+   end to end.
+
+   The [probed] mode attaches a telemetry probe to the pooled run and
+   measures from 1 s on, after the probe's 4096-record journal has
+   wrapped: the steady state in which every wire event rewrites the
+   snapshot it evicts. *)
+let reference_alloc_run ?(probed = false) ~horizon ~pooling () =
   let g = Topology.Generate.ring ~n:8 in
   let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling g in
+  if probed then
+    Netsim.Net.set_probe net
+      (Some (Netsim.Probe.create ~journal_capacity:4096 ()));
   Netsim.Net.use_routing net (Topology.Routing.compute g);
   List.iter
     (fun (s, d) ->
@@ -518,12 +526,14 @@ let reference_alloc_run ~horizon ~pooling () =
            ~start:0.0 ~stop:horizon))
     [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
   ignore (Netsim.Tcp.connect net ~src:0 ~dst:3 ());
+  if probed then Netsim.Net.run ~until:1.0 net;
   (* Settle setup garbage so the delta measures the event loop. *)
   Gc.full_major ();
+  let e0 = Netsim.Net.events_processed net in
   let t0 = Unix.gettimeofday () in
   let (), gc = with_gc_delta (fun () -> Netsim.Net.run ~until:horizon net) in
   let wall = Unix.gettimeofday () -. t0 in
-  (Netsim.Net.events_processed net, wall, gc, Netsim.Net.pool_stats net)
+  (Netsim.Net.events_processed net - e0, wall, gc, Netsim.Net.pool_stats net)
 
 let allocation ~smoke registry =
   print_endline "";
@@ -531,19 +541,22 @@ let allocation ~smoke registry =
   print_endline "======================================================";
   let horizon = if smoke then 0.5 else 30.0 in
   let reps = if smoke then 1 else 3 in
-  let one_run ~pooling = reference_alloc_run ~horizon ~pooling () in
-  let run_mode ~pooling =
-    let events, wall, gc, pool = one_run ~pooling in
+  let one_run ?probed ~pooling () =
+    reference_alloc_run ?probed ~horizon ~pooling ()
+  in
+  let run_mode ?probed ~pooling () =
+    let events, wall, gc, pool = one_run ?probed ~pooling () in
     let best = ref wall in
     for _ = 2 to reps do
-      let _, w, _, _ = one_run ~pooling in
+      let _, w, _, _ = one_run ?probed ~pooling () in
       if w < !best then best := w
     done;
     (events, !best, gc, pool)
   in
   let rows =
-    [ ("unpooled", false, run_mode ~pooling:false);
-      ("pooled", true, run_mode ~pooling:true) ]
+    [ ("unpooled", false, run_mode ~pooling:false ());
+      ("pooled", true, run_mode ~pooling:true ());
+      ("probed", true, run_mode ~probed:true ~pooling:true ()) ]
   in
   let per events w = w /. float_of_int (max 1 events) in
   let row_json = ref [] in
@@ -610,7 +623,9 @@ let allocation ~smoke registry =
              "Gc.quick_stat delta over the 30 s ring8 reference scenario \
               (6 crossing CBR flows + 1 TCP connection) after a full major \
               collection; words-per-event divides by Sim events processed; \
-              wall clock is the minimum over 3 runs" );
+              wall clock is the minimum over 3 runs; the probed mode \
+              attaches a probe with a 4096-record journal to the pooled \
+              run and measures from 1 s on, after the journal has wrapped" );
          ("smoke", Bool smoke);
          ("scenario", String "ring8-reference");
          ( "recorded_seed",
@@ -1012,6 +1027,33 @@ let check_gate ~smoke ~handicap ~baseline_dir =
            ~baseline:(baseline row [ "events_per_second" ])
            ~measured:(!eps /. handicap)))
     [ "unpooled"; "pooled" ];
+  (* The probed steady state: word counts only.  Both are deterministic
+     counts of allocation, not timings, so they are gated hard on every
+     host; the promoted band's slack stays under a quarter of its
+     baseline so a 2x handicap still trips it. *)
+  (let events, _, gc, _ =
+     reference_alloc_run ~probed:true ~horizon:30.0 ~pooling:true ()
+   in
+   let row =
+     match G.find_by alloc_doc ~field:"modes" ~key:"mode" ~value:"probed" with
+     | Some row -> row
+     | None ->
+         Printf.eprintf "bench --check: BENCH_alloc.json has no mode \"probed\"\n";
+         exit 2
+   in
+   let per w = w /. float_of_int (max 1 events) in
+   push
+     (G.judge
+        (G.band ~slack:1.0 ~direction:G.Lower_better ~limit:1.25
+           "alloc.probed.minor_words_per_event")
+        ~baseline:(baseline row [ "minor_words_per_event" ])
+        ~measured:(per gc.gd_minor_words *. handicap));
+   push
+     (G.judge
+        (G.band ~slack:0.05 ~direction:G.Lower_better ~limit:1.25
+           "alloc.probed.promoted_words_per_event")
+        ~baseline:(baseline row [ "promoted_words_per_event" ])
+        ~measured:(per gc.gd_promoted_words *. handicap)));
   (* Hot-path kernels: the same min-estimator the recording pass uses. *)
   let batches = if smoke then 60 else 400 in
   List.iter

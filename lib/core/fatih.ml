@@ -75,6 +75,8 @@ let detections t = List.rev t.detections_rev
 let response t = t.response
 let monitored_segments t = Hashtbl.fold (fun seg _ acc -> seg :: acc) t.segs []
 
+module Int_tbl = Hashtbl.Make (Int)
+
 let fresh_state policy =
   { sent = Summary.create policy;
     received = Summary.create policy;
@@ -104,25 +106,55 @@ let deploy ~net ~rt ?(config = default_config)
       if List.length seg = 3 && not (Hashtbl.mem t.segs seg) then
         Hashtbl.add t.segs seg (fresh_state config.policy))
     (Topology.Segments.pik2_family rt ~k:1);
+  (* The per-hop lookups below run for every delivered packet, so they
+     go through flat, int-keyed structures: segment ⟨a,b,c⟩ is found by
+     the key ((a*n)+b)*n+c, and the predicted path of (src, dst) sits at
+     src*n+dst.  [segs] stays the one list-keyed table: its iteration
+     order fixes the order of verdicts and control-plane sends. *)
+  let n = Topology.Graph.size (Netsim.Net.graph net) in
+  let seg_index = Int_tbl.create 256 in
+  Hashtbl.iter
+    (fun seg st ->
+      match seg with
+      | [ a; b; c ] -> Int_tbl.replace seg_index (((a * n) + b) * n + c) st
+      | _ -> ())
+    t.segs;
+  (* Fingerprint into one summary of segment ⟨a,b,c⟩, if it is
+     monitored; 1 when it was. *)
+  let observe_seg a b c part ~fp ~size ~time =
+    match Int_tbl.find seg_index (((a * n) + b) * n + c) with
+    | exception Not_found -> 0
+    | st ->
+        t.fingerprints_observed <- t.fingerprints_observed + 1;
+        Summary.observe
+          (match part with `Sent -> st.sent | `Received -> st.received | `Mid -> st.mid)
+          ~fp ~size ~time;
+        1
+  in
   (* Predicted path per (src, dst): how a terminal router decides which
      monitored segments a packet belongs to (§4.1 predictability).  After
      a routing update the coordinator re-derives the predictions from the
-     freshly installed tables (§5.3.1). *)
-  let path_cache = Hashtbl.create 256 in
+     freshly installed tables (§5.3.1).  [None] = not derived yet; a
+     pair without a route caches the empty path. *)
+  let path_cache = Array.make (n * n) None in
   let path_fn =
     ref (fun src dst -> Topology.Routing.path rt ~src ~dst)
   in
   let predicted src dst =
-    match Hashtbl.find_opt path_cache (src, dst) with
-    | Some p -> p
-    | None ->
-        let p = Option.map Array.of_list (!path_fn src dst) in
-        Hashtbl.add path_cache (src, dst) p;
-        p
+    if src < 0 || src >= n || dst < 0 || dst >= n then [||]
+    else
+      match path_cache.((src * n) + dst) with
+      | Some p -> p
+      | None ->
+          let p =
+            match !path_fn src dst with Some p -> Array.of_list p | None -> [||]
+          in
+          path_cache.((src * n) + dst) <- Some p;
+          p
   in
   Response.set_on_update t.response (fun pol ->
       t.last_policy_change <- Netsim.Sim.now (Netsim.Net.sim net);
-      Hashtbl.reset path_cache;
+      Array.fill path_cache 0 (n * n) None;
       path_fn := (fun src dst -> Topology.Policy.path pol ~src ~dst);
       (* Discard mid-round state collected under the old tables. *)
       Hashtbl.iter
@@ -150,56 +182,51 @@ let deploy ~net ~rt ?(config = default_config)
     t.segs;
   Netsim.Net.subscribe_iface net (fun ev ->
       match ev.Netsim.Net.kind with
-      | Netsim.Iface.Delivered pkt -> (
+      | Netsim.Iface.Delivered pkt ->
           let u = ev.Netsim.Net.router and v = ev.Netsim.Net.next in
-          match predicted pkt.Netsim.Packet.src pkt.Netsim.Packet.dst with
-          | None -> ()
-          | Some p ->
-              let len = Array.length p in
-              let fp = Netsim.Packet.fingerprint key pkt in
-              let observed = ref 0 in
-              let observe state_of seg =
-                match Hashtbl.find_opt t.segs seg with
-                | Some st ->
-                    t.fingerprints_observed <- t.fingerprints_observed + 1;
-                    incr observed;
-                    Summary.observe (state_of st) ~fp ~size:pkt.Netsim.Packet.size
-                      ~time:ev.Netsim.Net.time
-                | None -> ()
-              in
-              for i = 0 to len - 2 do
-                if p.(i) = u && p.(i + 1) = v then begin
-                  (* Link (u,v) opens the 3-segment ⟨u,v,p(i+2)⟩: terminal
-                     router u records what it sent into it. *)
-                  if i + 2 < len then
-                    observe (fun st -> st.sent) [ u; v; p.(i + 2) ];
-                  (* Link (u,v) closes ⟨p(i-1),u,v⟩: terminal router v
-                     records what came out. *)
-                  if i >= 1 then begin
-                    observe (fun st -> st.received) [ p.(i - 1); u; v ];
-                    (* With a Byzantine plan armed, the interior router u
-                       also fingerprints its own egress: the third claim
-                       the corroboration quorum compares against the
-                       terminals' stories. *)
-                    if byz <> None then
-                      observe (fun st -> st.mid) [ p.(i - 1); u; v ]
-                  end
+          let p = predicted pkt.Netsim.Packet.src pkt.Netsim.Packet.dst in
+          let len = Array.length p in
+          if len >= 2 then begin
+            let fp = Netsim.Packet.fingerprint key pkt in
+            let size = pkt.Netsim.Packet.size and time = ev.Netsim.Net.time in
+            let observed = ref 0 in
+            for i = 0 to len - 2 do
+              if p.(i) = u && p.(i + 1) = v then begin
+                (* Link (u,v) opens the 3-segment ⟨u,v,p(i+2)⟩: terminal
+                   router u records what it sent into it. *)
+                if i + 2 < len then
+                  observed :=
+                    !observed + observe_seg u v p.(i + 2) `Sent ~fp ~size ~time;
+                (* Link (u,v) closes ⟨p(i-1),u,v⟩: terminal router v
+                   records what came out. *)
+                if i >= 1 then begin
+                  observed :=
+                    !observed + observe_seg p.(i - 1) u v `Received ~fp ~size ~time;
+                  (* With a Byzantine plan armed, the interior router u
+                     also fingerprints its own egress: the third claim
+                     the corroboration quorum compares against the
+                     terminals' stories. *)
+                  if byz <> None then
+                    observed :=
+                      !observed + observe_seg p.(i - 1) u v `Mid ~fp ~size ~time
                 end
-              done;
-              (* One MAC-compute instant per traced hop, however many
-                 segment summaries the fingerprint landed in. *)
-              if !observed > 0 && pkt.Netsim.Packet.trace <> 0 then
-                Option.iter
-                  (fun probe ->
-                    ignore
-                      (Netsim.Probe.trace_instant probe ~track:"fatih"
-                         ~name:"fingerprint" ~cat:"mac" ~time:ev.Netsim.Net.time
-                         ~routers:[ u; v ]
-                         ~args:
-                           [ ("pkt", Telemetry.Export.Int pkt.Netsim.Packet.uid);
-                             ("summaries", Telemetry.Export.Int !observed) ]
-                         ()))
-                  probe)
+              end
+            done;
+            (* One MAC-compute instant per traced hop, however many
+               segment summaries the fingerprint landed in. *)
+            if !observed > 0 && pkt.Netsim.Packet.trace <> 0 then
+              Option.iter
+                (fun probe ->
+                  ignore
+                    (Netsim.Probe.trace_instant probe ~track:"fatih"
+                       ~name:"fingerprint" ~cat:"mac" ~time:ev.Netsim.Net.time
+                       ~routers:[ u; v ]
+                       ~args:
+                         [ ("pkt", Telemetry.Export.Int pkt.Netsim.Packet.uid);
+                           ("summaries", Telemetry.Export.Int !observed) ]
+                       ()))
+                probe
+          end
       | Netsim.Iface.Drop_link_down _ -> (
           match
             Hashtbl.find_opt edge_index (ev.Netsim.Net.router, ev.Netsim.Net.next)

@@ -329,12 +329,9 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
             let j = Telemetry.Journal.create ~capacity:trace () in
             Net.subscribe_iface net (fun { Net.time; router; next; kind } ->
                 if router = attacker then
-                  Telemetry.Journal.record j
-                    (Probe.Link { Probe.time; router; next; ev = kind }));
+                  Probe.journal_iface j ~time ~router ~next kind);
             Net.subscribe_router net (fun { Net.time; router; kind } ->
-                if router = attacker then
-                  Telemetry.Journal.record j
-                    (Probe.Node { Probe.time; router; ev = kind }));
+                if router = attacker then Probe.journal_router j ~time ~router kind);
             Some j
           end
           else None

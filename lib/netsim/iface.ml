@@ -160,7 +160,8 @@ let arrive_direct t p =
   if t.corruption > 0.0 && Random.State.float (Sim.rng t.sim) 1.0 < t.corruption
   then begin
     t.corrupted_drops <- t.corrupted_drops + 1;
-    if t.observe then t.on_event t (Drop_corrupted p) else t.release p
+    if t.observe then t.on_event t (Drop_corrupted p);
+    t.release p
   end
   else begin
     t.delivered_packets <- t.delivered_packets + 1;
@@ -205,7 +206,8 @@ let set_up t up =
 let enqueue t p =
   if not t.up then begin
     t.link_down_drops <- t.link_down_drops + 1;
-    if t.observe then t.on_event t (Drop_link_down p) else t.release p
+    if t.observe then t.on_event t (Drop_link_down p);
+    t.release p
   end
   else begin
   let verdict =
@@ -220,10 +222,12 @@ let enqueue t p =
       kick t
   | `Forced_drop ->
       t.congestion_drops <- t.congestion_drops + 1;
-      if t.observe then t.on_event t (Drop_congestion p) else t.release p
+      if t.observe then t.on_event t (Drop_congestion p);
+      t.release p
   | `Early_drop ->
       t.red_early_drops <- t.red_early_drops + 1;
-      if t.observe then t.on_event t (Drop_red_early p) else t.release p
+      if t.observe then t.on_event t (Drop_red_early p);
+      t.release p
   end
 
 let tx_packets t = t.tx_packets

@@ -54,8 +54,10 @@ val create :
 (** Build the interface for a directed link.  [deliver] is invoked at the
     packet's arrival instant at [link.dst] with [prev = link.src]
     (ignored in [Split] mode, where [handoff] replaces it).  [release]
-    (default: no-op) receives packets this interface kills while the
-    network is unobserved — the pool-recycling hook. *)
+    (default: no-op) receives packets this interface kills, after any
+    event about them has been delivered — the pool-recycling hook.  An
+    observed [Split]-mode arrival never releases: its buffered
+    observation outlives the packet's wire lifetime. *)
 
 val set_observe : t -> bool -> unit
 (** Whether anything consumes this interface's events.  [true] (the

@@ -65,18 +65,21 @@ type t = {
 let sim t = match t.engine with Single s -> s | Sharded sh -> Shard.ctrl_sim sh
 
 (* Observation elision and pooling are whole-network properties; both
-   must be settled before the run starts.  Pooling stays inert while
-   observed (events retain packets past their network lifetime) and, in
-   sharded mode, while apps are attached (buffered [Obs_app] records
-   would outlive the router's release of the packet). *)
+   must be settled before the run starts.  Pooling stays inert while a
+   data-plane listener is subscribed (its callback may keep the packet)
+   and, in sharded mode, while a probe or apps are attached (buffered
+   [Obs_*] records would outlive the release of the packet).  A probe
+   on the classic engine copies what it journals synchronously, so it
+   leaves pooling live. *)
 let refresh_observe t =
-  let observed =
-    t.probe <> None || t.iface_listeners <> [] || t.router_listeners <> []
-  in
+  let listened = t.iface_listeners <> [] || t.router_listeners <> [] in
+  let observed = t.probe <> None || listened in
   t.observed <- observed;
   t.pool_on <-
-    t.pooling && (not observed)
-    && (match t.engine with Single _ -> true | Sharded _ -> not t.has_apps);
+    t.pooling && (not listened)
+    && (match t.engine with
+       | Single _ -> true
+       | Sharded _ -> t.probe = None && not t.has_apps);
   Array.iter
     (fun r ->
       Router.set_observe r observed;

@@ -55,11 +55,13 @@ val create :
     [pooling] (default false) turns on packet recycling: dead packets
     return to a per-shard freelist ({!Pool}) and {!make_packet} reuses
     them, so steady-state traffic allocates no packet records.  The
-    pool is automatically inert while the network is observed (probe or
-    data-plane listeners — observations retain packets), and, under the
-    sharded engine, while apps are attached (buffered app deliveries
-    outlive the packet's network lifetime); it never changes simulation
-    output.  [poison] (default false) additionally stamps released
+    pool is automatically inert while a data-plane listener is
+    subscribed ({!subscribe_iface}, {!subscribe_router}: its callback may
+    keep the packet), and, under the sharded engine, while a probe or
+    apps are attached (buffered observations and app deliveries outlive
+    the packet's network lifetime).  A probe on the classic engine keeps
+    no packets — it copies what it journals — so pooling stays live
+    under it.  Pooling never changes simulation output.  [poison] (default false) additionally stamps released
     packets so stale references read loudly-wrong data and double
     releases raise — the debug mode the allocation tests use. *)
 

@@ -53,24 +53,46 @@ let reinit p ~now ~uid ~src ~dst ~flow ~size ?(ttl = 64) proto =
   p.q_start <- -1.0;
   p.tx_start <- -1.0
 
-let proto_words = function
-  | Udp -> [ 0L ]
-  | Tcp { seq; ack; syn; fin } ->
-      [ 1L; Int64.of_int seq; Int64.of_int ack;
-        Int64.of_int ((if syn then 2 else 0) lor if fin then 1 else 0) ]
-  | Ping seq -> [ 2L; Int64.of_int seq ]
-  | Pong seq -> [ 3L; Int64.of_int seq ]
-
+(* The fingerprint is SipHash over the little-endian words uid, src,
+   dst, flow, size, payload, then the protocol header: [0] for UDP,
+   [1; seq; ack; syn<<1|fin] for TCP, [2; seq] / [3; seq] for ping /
+   pong.  The words are laid out in a byte buffer and hashed with the
+   byte-string entry point, whose rule over 8n bytes is exactly the
+   word rule, so a call allocates only the buffer and the result.  The
+   buffer is per call, not shared: shards fingerprint on several
+   domains at once. *)
 let fingerprint key p =
-  Crypto_sim.Siphash.hash_int64s key
-    (Int64.of_int p.uid :: Int64.of_int p.src :: Int64.of_int p.dst
-     :: Int64.of_int p.flow :: Int64.of_int p.size :: p.payload :: proto_words p.proto)
+  let header_words =
+    match p.proto with Udp -> 1 | Tcp _ -> 4 | Ping _ | Pong _ -> 2
+  in
+  let b = Bytes.create (8 * (6 + header_words)) in
+  Bytes.set_int64_le b 0 (Int64.of_int p.uid);
+  Bytes.set_int64_le b 8 (Int64.of_int p.src);
+  Bytes.set_int64_le b 16 (Int64.of_int p.dst);
+  Bytes.set_int64_le b 24 (Int64.of_int p.flow);
+  Bytes.set_int64_le b 32 (Int64.of_int p.size);
+  Bytes.set_int64_le b 40 p.payload;
+  (match p.proto with
+  | Udp -> Bytes.set_int64_le b 48 0L
+  | Tcp { seq; ack; syn; fin } ->
+      Bytes.set_int64_le b 48 1L;
+      Bytes.set_int64_le b 56 (Int64.of_int seq);
+      Bytes.set_int64_le b 64 (Int64.of_int ack);
+      Bytes.set_int64_le b 72
+        (Int64.of_int ((if syn then 2 else 0) lor if fin then 1 else 0))
+  | Ping seq ->
+      Bytes.set_int64_le b 48 2L;
+      Bytes.set_int64_le b 56 (Int64.of_int seq)
+  | Pong seq ->
+      Bytes.set_int64_le b 48 3L;
+      Bytes.set_int64_le b 56 (Int64.of_int seq));
+  Crypto_sim.Siphash.hash key (Bytes.unsafe_to_string b)
 
 let is_syn p = match p.proto with Tcp h -> h.syn | Udp | Ping _ | Pong _ -> false
 
-let describe p =
+let render ~uid ~src ~dst ~flow ~size proto =
   let proto =
-    match p.proto with
+    match proto with
     | Udp -> "udp"
     | Tcp h ->
         Printf.sprintf "tcp seq=%d ack=%d%s%s" h.seq h.ack (if h.syn then " SYN" else "")
@@ -78,4 +100,7 @@ let describe p =
     | Ping s -> Printf.sprintf "ping %d" s
     | Pong s -> Printf.sprintf "pong %d" s
   in
-  Printf.sprintf "#%d %d->%d flow=%d %dB %s" p.uid p.src p.dst p.flow p.size proto
+  Printf.sprintf "#%d %d->%d flow=%d %dB %s" uid src dst flow size proto
+
+let describe p =
+  render ~uid:p.uid ~src:p.src ~dst:p.dst ~flow:p.flow ~size:p.size p.proto

@@ -84,3 +84,8 @@ val is_syn : t -> bool
 
 val describe : t -> string
 (** One-line rendering for traces. *)
+
+val render :
+  uid:int -> src:int -> dst:int -> flow:int -> size:int -> proto -> string
+(** {!describe} from the rendered fields alone — what a {!Probe} wire
+    snapshot prints without holding on to the packet. *)

@@ -1,5 +1,21 @@
-type iface_record = { time : float; router : int; next : int; ev : Iface.event }
-type router_record = { time : float; router : int; ev : Router.event }
+(* A wire event as a flat snapshot: the few ints the renderers need,
+   copied out of the packet when the event happens, so the journal never
+   keeps a packet alive (and never promotes one).  Small ints share a
+   word, two to an immediate (see [pack]); the two floats live in their
+   own float-only record, so rewriting a recycled slot stores unboxed
+   doubles and allocates nothing.  [code] (inside [shape]) is the event
+   kind: link outcomes 0-6, router outcomes 8-15. *)
+type stamp = { mutable at : float; mutable delay : float }
+
+type wire = {
+  stamp : stamp;
+  mutable uid : int;
+  mutable flow : int;
+  mutable hop : int;    (* router | next hop (-1 on router events without one) *)
+  mutable ends : int;   (* packet src | dst *)
+  mutable shape : int;  (* packet size | fragments lsl 4 lor code *)
+  mutable proto : Packet.proto;
+}
 
 type verdict = {
   time : float;
@@ -19,8 +35,7 @@ type fault_record = {
 }
 
 type event =
-  | Link of iface_record
-  | Node of router_record
+  | Wire of wire
   | Verdict of verdict
   | Fault of fault_record
 
@@ -90,6 +105,97 @@ let router_packet = function
       pkt
   | Router.Fragmented { original; _ } -> original
   | Router.No_route pkt | Router.Ttl_expired pkt | Router.Delivered_local pkt -> pkt
+
+(* --- wire snapshots ---------------------------------------------------- *)
+
+(* Two ints in [-2^30, 2^30) share one immediate: [hi] above bit 31,
+   [lo] in the low 31 bits, sign-extended again on the way out. *)
+let pack hi lo =
+  if (hi lsl 32) asr 32 <> hi || (lo lsl 32) asr 32 <> lo then
+    invalid_arg "Probe: wire field outside [-2^30, 2^30)";
+  (hi lsl 31) lor (lo land 0x7fff_ffff)
+
+let hi x = x asr 31
+let lo x = (x lsl 32) asr 32
+
+let code_delay = 10
+let code_fragment = 12
+
+(* Indexed by code; the two parameterized kinds are rendered by
+   [wire_kind]. *)
+let kind_names =
+  [| "enqueue"; "DROP-congestion"; "DROP-red"; "DROP-link-down"; "DROP-corrupted";
+     "transmit"; "deliver"; "";
+     "MALICIOUS-drop"; "MALICIOUS-modify"; "MALICIOUS-delay"; "MALICIOUS-fabricate";
+     "fragment"; "no-route"; "ttl-expired"; "local-deliver" |]
+
+let iface_code = function
+  | Iface.Enqueued _ -> 0
+  | Iface.Drop_congestion _ -> 1
+  | Iface.Drop_red_early _ -> 2
+  | Iface.Drop_link_down _ -> 3
+  | Iface.Drop_corrupted _ -> 4
+  | Iface.Transmit_start _ -> 5
+  | Iface.Delivered _ -> 6
+
+let router_code = function
+  | Router.Malicious_drop _ -> 8
+  | Router.Malicious_modify _ -> 9
+  | Router.Malicious_delay _ -> code_delay
+  | Router.Fabricated _ -> 11
+  | Router.Fragmented _ -> code_fragment
+  | Router.No_route _ -> 13
+  | Router.Ttl_expired _ -> 14
+  | Router.Delivered_local _ -> 15
+
+let fill w ~time ~code ~router ~next ~delay ~fragments (p : Packet.t) =
+  w.stamp.at <- time;
+  w.stamp.delay <- delay;
+  w.uid <- p.Packet.uid;
+  w.flow <- p.Packet.flow;
+  w.hop <- pack router next;
+  w.ends <- pack p.Packet.src p.Packet.dst;
+  w.shape <- pack p.Packet.size ((fragments lsl 4) lor code);
+  w.proto <- p.Packet.proto
+
+(* What [Journal.recycle] hands back before the ring has wrapped: never
+   recorded, so never rewritten. *)
+let spare = Fault { time = 0.0; kind = ""; routers = []; detail = "" }
+
+(* The one record path for wire events: rewrite the slot the ring is
+   about to evict when it holds a snapshot (no other reference to it is
+   live — readers render records, they do not keep them), else allocate
+   one. *)
+let journal_wire j ~time ~code ~router ~next ~delay ~fragments p =
+  match Telemetry.Journal.recycle j spare with
+  | Wire w as ev ->
+      fill w ~time ~code ~router ~next ~delay ~fragments p;
+      Telemetry.Journal.record j ev
+  | Verdict _ | Fault _ ->
+      let w =
+        { stamp = { at = 0.0; delay = 0.0 }; uid = 0; flow = 0; hop = 0; ends = 0;
+          shape = 0; proto = Packet.Udp }
+      in
+      fill w ~time ~code ~router ~next ~delay ~fragments p;
+      Telemetry.Journal.record j (Wire w)
+
+let journal_iface j ~time ~router ~next (ev : Iface.event) =
+  journal_wire j ~time ~code:(iface_code ev) ~router ~next ~delay:0.0 ~fragments:0
+    (iface_packet ev)
+
+let journal_router j ~time ~router (ev : Router.event) =
+  let code = router_code ev in
+  match ev with
+  | Router.Malicious_delay { next; pkt; delay } ->
+      journal_wire j ~time ~code ~router ~next ~delay ~fragments:0 pkt
+  | Router.Fragmented { next; original; fragments } ->
+      journal_wire j ~time ~code ~router ~next ~delay:0.0 ~fragments original
+  | Router.Malicious_drop { next; pkt }
+  | Router.Malicious_modify { next; pkt; _ }
+  | Router.Fabricated { next; pkt } ->
+      journal_wire j ~time ~code ~router ~next ~delay:0.0 ~fragments:0 pkt
+  | Router.No_route pkt | Router.Ttl_expired pkt | Router.Delivered_local pkt ->
+      journal_wire j ~time ~code ~router ~next:(-1) ~delay:0.0 ~fragments:0 pkt
 
 let drop_counter reg cause =
   Telemetry.Metrics.counter reg "pkt_dropped_total"
@@ -247,7 +353,7 @@ let on_iface t ~time ~router ~next (ev : Iface.event) =
   | Iface.Drop_corrupted _ -> Telemetry.Metrics.inc t.drop_corrupted
   | Iface.Transmit_start _ -> ()
   | Iface.Delivered _ -> Telemetry.Metrics.inc t.forwarded_hops);
-  Telemetry.Journal.record t.journal (Link { time; router; next; ev });
+  journal_iface t.journal ~time ~router ~next ev;
   match t.tracer with
   | Some sp -> trace_iface t sp ~time ~router ~next ev
   | None -> ()
@@ -311,7 +417,7 @@ let on_router t ~time ~router (ev : Router.event) =
   | Router.Delivered_local pkt ->
       Telemetry.Metrics.inc t.delivered;
       Telemetry.Metrics.observe t.delivery_latency (time -. pkt.Packet.created));
-  Telemetry.Journal.record t.journal (Node { time; router; ev });
+  journal_router t.journal ~time ~router ev;
   match t.tracer with
   | Some sp -> trace_router t sp ~time ~router ev
   | None -> ()
@@ -411,33 +517,26 @@ let conservation t =
 
 (* --- formatting: one trace line per record, derived on demand --- *)
 
-let describe_iface_kind = function
-  | Iface.Enqueued _ -> "enqueue"
-  | Iface.Drop_congestion _ -> "DROP-congestion"
-  | Iface.Drop_red_early _ -> "DROP-red"
-  | Iface.Drop_link_down _ -> "DROP-link-down"
-  | Iface.Drop_corrupted _ -> "DROP-corrupted"
-  | Iface.Transmit_start _ -> "transmit"
-  | Iface.Delivered _ -> "deliver"
+let wire_code w = lo w.shape land 0xf
+let wire_is_link w = wire_code w < 8
 
-let describe_router_kind = function
-  | Router.Malicious_drop _ -> "MALICIOUS-drop"
-  | Router.Malicious_modify _ -> "MALICIOUS-modify"
-  | Router.Malicious_delay { delay; _ } ->
-      Printf.sprintf "MALICIOUS-delay(%.3fs)" delay
-  | Router.Fabricated _ -> "MALICIOUS-fabricate"
-  | Router.Fragmented { fragments; _ } -> Printf.sprintf "fragment(x%d)" fragments
-  | Router.No_route _ -> "no-route"
-  | Router.Ttl_expired _ -> "ttl-expired"
-  | Router.Delivered_local _ -> "local-deliver"
+let wire_kind w =
+  let code = wire_code w in
+  if code = code_delay then Printf.sprintf "MALICIOUS-delay(%.3fs)" w.stamp.delay
+  else if code = code_fragment then Printf.sprintf "fragment(x%d)" (lo w.shape asr 4)
+  else kind_names.(code)
+
+let wire_packet w =
+  Packet.render ~uid:w.uid ~src:(hi w.ends) ~dst:(lo w.ends) ~flow:w.flow
+    ~size:(hi w.shape) w.proto
 
 let describe = function
-  | Link { time; router; next; ev } ->
-      Printf.sprintf "%.4f r%d->r%d %s %s" time router next (describe_iface_kind ev)
-        (Packet.describe (iface_packet ev))
-  | Node { time; router; ev } ->
-      Printf.sprintf "%.4f r%d %s %s" time router (describe_router_kind ev)
-        (Packet.describe (router_packet ev))
+  | Wire w when wire_is_link w ->
+      Printf.sprintf "%.4f r%d->r%d %s %s" w.stamp.at (hi w.hop) (lo w.hop)
+        (wire_kind w) (wire_packet w)
+  | Wire w ->
+      Printf.sprintf "%.4f r%d %s %s" w.stamp.at (hi w.hop) (wire_kind w)
+        (wire_packet w)
   | Verdict { time; detector; suspects; alarm; _ } ->
       Printf.sprintf "%.4f %s %s%s" time detector
         (if alarm then "ALARM" else "verdict")
@@ -454,36 +553,22 @@ let describe = function
 (* --- JSONL export --- *)
 
 let event_time = function
-  | Link { time; _ } | Node { time; _ } | Verdict { time; _ } | Fault { time; _ }
-    ->
-      time
-
-let event_packet = function
-  | Link { ev; _ } -> Some (iface_packet ev)
-  | Node { ev; _ } -> Some (router_packet ev)
-  | Verdict _ | Fault _ -> None
-
-let json_of_packet (p : Packet.t) =
-  Telemetry.Export.Assoc
-    [ ("uid", Telemetry.Export.Int p.Packet.uid);
-      ("src", Telemetry.Export.Int p.Packet.src);
-      ("dst", Telemetry.Export.Int p.Packet.dst);
-      ("flow", Telemetry.Export.Int p.Packet.flow);
-      ("size", Telemetry.Export.Int p.Packet.size) ]
+  | Wire w -> w.stamp.at
+  | Verdict { time; _ } | Fault { time; _ } -> time
 
 let json_of_event ev =
   let open Telemetry.Export in
   let base =
     match ev with
-    | Link { router; next; ev; _ } ->
-        [ ("event", String (describe_iface_kind ev));
+    | Wire w when wire_is_link w ->
+        [ ("event", String (wire_kind w));
           ("layer", String "link");
-          ("router", Int router);
-          ("next", Int next) ]
-    | Node { router; ev; _ } ->
-        [ ("event", String (describe_router_kind ev));
+          ("router", Int (hi w.hop));
+          ("next", Int (lo w.hop)) ]
+    | Wire w ->
+        [ ("event", String (wire_kind w));
           ("layer", String "router");
-          ("router", Int router) ]
+          ("router", Int (hi w.hop)) ]
     | Verdict { detector; subject; suspects; confidence; alarm; detail; _ } ->
         [ ("event", String "verdict");
           ("layer", String "detector");
@@ -503,7 +588,17 @@ let json_of_event ev =
   in
   Assoc
     ((("time", Float (event_time ev)) :: base)
-    @ match event_packet ev with Some p -> [ ("pkt", json_of_packet p) ] | None -> [])
+    @
+    match ev with
+    | Wire w ->
+        [ ( "pkt",
+            Assoc
+              [ ("uid", Int w.uid);
+                ("src", Int (hi w.ends));
+                ("dst", Int (lo w.ends));
+                ("flow", Int w.flow);
+                ("size", Int (hi w.shape)) ] ) ]
+    | Verdict _ | Fault _ -> [])
 
 let write_journal t oc =
   Telemetry.Journal.iter t.journal (fun ev ->

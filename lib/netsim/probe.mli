@@ -3,11 +3,23 @@
     A probe bundles a {!Telemetry.Metrics} registry (packet counters by
     outcome, per-router malice counters, size and latency histograms)
     with a bounded {!Telemetry.Journal} of typed records covering all
-    three layers: link events, router events, and detector verdicts.
-    Attach one to a network with {!Net.set_probe} — the forwarding plane
-    feeds it directly, and detectors add verdicts via
-    {!record_verdict}.  With no probe attached the per-event cost in the
-    forwarding plane is a single pointer test.
+    three layers: wire events (link and router), detector verdicts and
+    injected faults.  Attach one to a network with {!Net.set_probe} —
+    the forwarding plane feeds it directly, and detectors add verdicts
+    via {!record_verdict}.  With no probe attached the per-event cost in
+    the forwarding plane is a single pointer test.
+
+    The journal retains no packets.  A wire event is journaled as a
+    {!wire} snapshot: the few ints the renderers need (router, next hop,
+    the packet's uid, addresses, flow, size and protocol header) copied
+    out when the event happens.  Once the ring has wrapped, each new
+    wire event rewrites the snapshot it evicts
+    ({!Telemetry.Journal.recycle}), so sustained journaling allocates
+    nothing and promotes nothing — and, because no observation outlives
+    its event, packet pooling stays live under a probe on the classic
+    engine.  The flip side: a record read out of {!journal} is valid
+    until the next wire event; render it (or copy what you need) before
+    the run continues.
 
     {!describe} renders any record as a one-line trace entry (what
     [mrdetect simulate --trace N] prints); exporters turn the journal
@@ -25,8 +37,10 @@
     implicated routers.  Detectors add their own round spans and
     evidence instants via {!trace_span} / {!trace_instant}. *)
 
-type iface_record = { time : float; router : int; next : int; ev : Iface.event }
-type router_record = { time : float; router : int; ev : Router.event }
+type wire
+(** A wire-event snapshot (see above).  Mutable and recycled by the
+    journal that holds it; read it only through {!describe} or
+    {!write_journal}. *)
 
 type verdict = {
   time : float;
@@ -48,8 +62,7 @@ type fault_record = {
     malicious action. *)
 
 type event =
-  | Link of iface_record
-  | Node of router_record
+  | Wire of wire
   | Verdict of verdict
   | Fault of fault_record
 
@@ -87,8 +100,19 @@ val on_originate : t -> Packet.t -> unit
 val on_iface : t -> time:float -> router:int -> next:int -> Iface.event -> unit
 val on_router : t -> time:float -> router:int -> Router.event -> unit
 (** Forwarding-plane hooks (called by {!Net}): bump the matching
-    counters, journal the typed record and (for traced packets) record
-    hop spans / instants. *)
+    counters, journal the event's {!wire} snapshot and (for traced
+    packets) record hop spans / instants. *)
+
+val journal_iface :
+  event Telemetry.Journal.t -> time:float -> router:int -> next:int ->
+  Iface.event -> unit
+val journal_router :
+  event Telemetry.Journal.t -> time:float -> router:int -> Router.event -> unit
+(** Journal a wire event's snapshot into any journal, recycling the
+    evicted snapshot once the ring has wrapped — the record path
+    {!on_iface}/{!on_router} use, shared with
+    [mrdetect simulate --trace N].  Raises [Invalid_argument] if a
+    router id, address or size lies outside [[-2^30, 2^30)]. *)
 
 val record_verdict :
   t ->
@@ -178,12 +202,6 @@ val conservation : t -> conservation
 val describe : event -> string
 (** The one-line trace rendering ("12.0345 r3->r4 deliver #812
     ...") derived from the typed record. *)
-
-val iface_packet : Iface.event -> Packet.t
-val router_packet : Router.event -> Packet.t
-(** The packet a record is about (for [Fragmented], the original). *)
-
-val json_of_event : event -> Telemetry.Export.json
 
 val write_journal : t -> out_channel -> unit
 (** Dump the retained journal as JSONL, oldest record first. *)

@@ -144,7 +144,8 @@ let fragment_if_needed t ~next iface pkt =
 let forward_one t ~prev ~next pkt =
   match Hashtbl.find t.out next with
   | exception Not_found ->
-      if t.observe then t.on_event t (No_route pkt) else t.release pkt
+      if t.observe then t.on_event t (No_route pkt);
+      t.release pkt
   | iface ->
       (* Honest routers — the overwhelmingly common case — skip the
          behavior context entirely: it exists to show a compromised
@@ -168,8 +169,8 @@ let forward_one t ~prev ~next pkt =
             fragment_if_needed t ~next iface pkt
         | Drop ->
             t.malicious_drops <- t.malicious_drops + 1;
-            if t.observe then t.on_event t (Malicious_drop { next; pkt })
-            else t.release pkt
+            if t.observe then t.on_event t (Malicious_drop { next; pkt });
+            t.release pkt
         | Modify payload ->
             let old_payload = pkt.Packet.payload in
             pkt.Packet.payload <- payload;
@@ -197,7 +198,8 @@ let receive_prev t ~prev pkt =
            end
       in
       if expired then begin
-        if t.observe then t.on_event t (Ttl_expired pkt) else t.release pkt
+        if t.observe then t.on_event t (Ttl_expired pkt);
+        t.release pkt
       end
       else begin
         if local then begin
@@ -225,12 +227,14 @@ let receive_prev t ~prev pkt =
          end
     in
     if expired then begin
-      if t.observe then t.on_event t (Ttl_expired pkt) else t.release pkt
+      if t.observe then t.on_event t (Ttl_expired pkt);
+      t.release pkt
     end
     else begin
       let next = t.forwarding ~prev pkt in
       if next < 0 then begin
-        if t.observe then t.on_event t (No_route pkt) else t.release pkt
+        if t.observe then t.on_event t (No_route pkt);
+        t.release pkt
       end
       else forward_one t ~prev ~next pkt
     end

@@ -55,8 +55,8 @@ val create :
     (fragments); the sharded engine supplies a per-node stream so uids
     are independent of cross-shard interleaving.  Defaults to the
     simulation-global counter.  [release] (default: no-op) receives
-    packets that die at this router while the network is unobserved —
-    the pool-recycling hook. *)
+    packets that die at this router, after any event about them has
+    been delivered — the pool-recycling hook. *)
 
 val id : t -> int
 
@@ -77,9 +77,10 @@ val set_forwarding_id : t -> (prev:int -> Packet.t -> int) -> unit
 
 val set_observe : t -> bool -> unit
 (** Whether anything consumes this router's events.  [false] elides
-    event construction on the hot path and hands terminal packets
-    (local delivery, TTL expiry, no-route, malicious drop) to the
-    [release] hook.  Fixed before the run; {!Net} manages it. *)
+    event construction on the hot path.  Either way terminal packets
+    (local delivery, TTL expiry, no-route, malicious drop) go to the
+    [release] hook once their event has been emitted.  Fixed before the
+    run; {!Net} manages it. *)
 
 val set_behavior : t -> behavior -> unit
 (** Compromise (or restore) the router. *)

@@ -48,12 +48,13 @@ let record t x =
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1
 
-(* The value the next [record] will evict, once the ring has wrapped.
-   Callers that own their element type can mutate it in place and hand
-   it straight back to [record] — a free-list of size one, which is all
-   a ring buffer ever evicts per write. *)
-let recycle t =
-  if t.total >= t.capacity then Some t.ring.(t.next) else None
+(* The value the next [record] will evict, once the ring has wrapped;
+   [spare] before that.  Callers that own their element type can mutate
+   the evictee in place and hand it straight back to [record] — a
+   free-list of size one, which is all a ring buffer ever evicts per
+   write.  Returning [spare] rather than an option keeps the probe and
+   span fast paths free of a [Some] box per record. *)
+let recycle t spare = if t.total >= t.capacity then t.ring.(t.next) else spare
 
 let total t = t.total
 let retained t = min t.total t.capacity

@@ -31,14 +31,22 @@ val record : 'a t -> 'a -> unit
     [Invalid_argument] when called from a domain other than the
     journal's owner (the first domain that recorded). *)
 
-val recycle : 'a t -> 'a option
-(** The record the next {!record} will evict, or [None] until the ring
-    has wrapped.  A caller that owns the element type may mutate the
-    returned value in place and pass it straight back to {!record},
-    turning sustained full-rate recording into a zero-allocation loop —
-    provided no other reference to the evicted record is live (see
-    {!Span}'s pinning rules for an example of excluding retained
-    records). *)
+val recycle : 'a t -> 'a -> 'a
+(** [recycle t spare] is the record the next {!record} will evict, or
+    [spare] until the ring has wrapped; it allocates nothing.  The
+    caller picks [spare] as a value it can tell apart from any record it
+    would reuse (a static sentinel, or a variant case it never
+    rewrites), so "nothing to evict yet" costs no option box.
+
+    Contract: a caller that owns the element type may mutate the
+    returned record in place and pass it straight back to {!record},
+    turning sustained full-rate recording into a zero-allocation loop.
+    That is sound only while no other reference to the evicted record
+    is live — anything read out of the ring ({!iter}, {!to_list}) and
+    kept past the next {!record} may be rewritten under the reader.
+    {!Span} excludes its pinned flight-recorder entries for this reason;
+    {!Netsim.Probe} rewrites only its own wire snapshots, which no
+    reader retains. *)
 
 val total : 'a t -> int
 (** Records ever offered (including evicted ones). *)

@@ -44,6 +44,13 @@ type entry = {
   kind : kind;
 }
 
+(* What [Journal.recycle] hands back before the ring has wrapped: not a
+   hop entry, so [hop_span] never rewrites it. *)
+let spare =
+  { id = 0; trace = 0; name = ""; cat = ""; pid = 0; tid = 0; time = 0.0;
+    routers = []; args = []; hop_r1 = no_field; hop_r2 = no_field;
+    hop_pkt = no_field; kind = Instant }
+
 let entry_routers e =
   if e.routers <> [] then e.routers
   else if e.hop_r1 = no_field then []
@@ -172,9 +179,8 @@ let hop_span t ~trace ~name ~pid ~tid ~start ~finish ~router ~next ~pkt =
   let id = fresh_id t in
   let duration = Float.max 0.0 (finish -. start) in
   let recycled =
-    match Journal.recycle t.ring with
-    | Some e
-      when e.hop_pkt <> no_field && not (Hashtbl.mem t.pinned_ids e.id) -> (
+    match Journal.recycle t.ring spare with
+    | e when e.hop_pkt <> no_field && not (Hashtbl.mem t.pinned_ids e.id) -> (
         match e.kind with
         | Complete c ->
             e.id <- id;

@@ -10,19 +10,19 @@
 
    The suite also proves the pool actually recycles on the reference
    scenario, that pooled and unpooled runs execute the identical event
-   set, and that poison mode catches an injected use-after-free and a
-   double release at the pool boundary. *)
+   set, that a probed run in steady state journals without allocating
+   or promoting and keeps the pool live, and that poison mode catches an
+   injected use-after-free and a double release at the pool boundary
+   and leaves a probed run's exports unchanged. *)
 
 open Netsim
 
-(* Words allocated per event over the tail of a ring8 reference run:
-   the first simulated second is warm-up (pools filling, rings and
-   journals growing), the remaining four are the steady state the
-   budget applies to. *)
-let ring8_run ~pooling =
-  let horizon = 5.0 in
+(* The ring8 reference scenario: six crossing CBR flows and one TCP
+   connection over [horizon] simulated seconds. *)
+let ring8_net ?probe ?(poison = false) ~pooling ~horizon () =
   let g = Topology.Generate.ring ~n:8 in
-  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling g in
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling ~poison g in
+  if probe <> None then Net.set_probe net probe;
   Net.use_routing net (Topology.Routing.compute g);
   List.iter
     (fun (s, d) ->
@@ -31,15 +31,30 @@ let ring8_run ~pooling =
            ~stop:horizon))
     [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
   ignore (Tcp.connect net ~src:0 ~dst:3 ());
+  net
+
+(* Minor and promoted words allocated per event over the tail of a
+   ring8 reference run: the first simulated second is warm-up (pools
+   filling, rings and journals growing and wrapping), the remaining four
+   are the steady state the budgets apply to. *)
+let ring8_words ?probe ~pooling () =
+  let horizon = 5.0 in
+  let net = ring8_net ?probe ~pooling ~horizon () in
   Net.run ~until:1.0 net;
   Gc.full_major ();
   let m0 = Gc.minor_words () in
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
   let e0 = Net.events_processed net in
   Net.run ~until:horizon net;
   let m1 = Gc.minor_words () in
-  let events = Net.events_processed net - e0 in
-  let words_per_event = (m1 -. m0) /. float_of_int (max 1 events) in
-  (words_per_event, Net.events_processed net, Net.pool_stats net)
+  let p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  let events = float_of_int (max 1 (Net.events_processed net - e0)) in
+  ((m1 -. m0) /. events, (p1 -. p0) /. events, Net.events_processed net,
+   Net.pool_stats net)
+
+let ring8_run ~pooling =
+  let minor, _, events, stats = ring8_words ~pooling () in
+  (minor, events, stats)
 
 let seed_words_per_event = 62.97
 
@@ -70,17 +85,95 @@ let test_steady_state_budget () =
     (stats.Pool.recycled > 10 * stats.Pool.fresh)
 
 let test_pool_inert_when_observed () =
-  (* A probe retains packets in its journal, so recycling must switch
-     itself off rather than corrupt the observations. *)
+  (* Pooling switches itself off exactly where an observation may
+     outlive the packet: a data-plane listener (its callback may keep
+     the packet) and the sharded engine with a probe (buffered [Obs_*]
+     records hold packets until the epoch flush).  A probe on the
+     classic engine copies what it journals, so recycling stays live. *)
   let g = Topology.Generate.ring ~n:4 in
-  let net = Net.create ~seed:1 ~pooling:true g in
-  Net.set_probe net (Some (Probe.create ()));
-  Net.use_routing net (Topology.Routing.compute g);
-  Alcotest.(check bool) "pooling suppressed under a probe" false
-    (Net.pooling_active net);
-  let net2 = Net.create ~seed:1 ~pooling:true g in
-  Net.use_routing net2 (Topology.Routing.compute g);
-  Alcotest.(check bool) "pooling live unobserved" true (Net.pooling_active net2)
+  let net ?shards () = Net.create ~seed:1 ~pooling:true ?shards g in
+  let n1 = net () in
+  Net.subscribe_iface n1 (fun _ -> ());
+  Alcotest.(check bool) "pooling suppressed under an iface listener" false
+    (Net.pooling_active n1);
+  let n2 = net () in
+  Net.subscribe_router n2 (fun _ -> ());
+  Alcotest.(check bool) "pooling suppressed under a router listener" false
+    (Net.pooling_active n2);
+  let n3 = net ~shards:2 () in
+  Net.set_probe n3 (Some (Probe.create ()));
+  Alcotest.(check bool) "pooling suppressed under a sharded probe" false
+    (Net.pooling_active n3);
+  let n4 = net () in
+  Net.set_probe n4 (Some (Probe.create ()));
+  Alcotest.(check bool) "pooling live under a classic-engine probe" true
+    (Net.pooling_active n4);
+  Alcotest.(check bool) "pooling live unobserved" true (Net.pooling_active (net ()))
+
+(* A probed ring8 run in steady state, after its journal has wrapped:
+   every wire event rewrites the snapshot it evicts, so journaling adds
+   no allocation and no promotion, and the pool recycles under the
+   probe.  While journal records held their packets, this run cost
+   ~26 minor and ~6.5 promoted words per event. *)
+let test_probed_steady_state_budget () =
+  let minor_ceiling = 20.0 and promoted_ceiling = 1.0 in
+  let probe = Probe.create ~journal_capacity:4096 () in
+  let minor, promoted, _, stats = ring8_words ~probe ~pooling:true () in
+  let j = Probe.journal probe in
+  Alcotest.(check bool) "the journal wrapped during warm-up" true
+    (Telemetry.Journal.dropped j > 4096);
+  Alcotest.(check bool)
+    (Printf.sprintf "probed %.2f minor w/ev under %.1f ceiling" minor
+       minor_ceiling)
+    true (minor < minor_ceiling);
+  Alcotest.(check bool)
+    (Printf.sprintf "probed %.3f promoted w/ev under %.1f ceiling" promoted
+       promoted_ceiling)
+    true
+    (promoted < promoted_ceiling);
+  Alcotest.(check bool)
+    (Printf.sprintf "pool recycled %d of %d acquisitions under the probe"
+       stats.Pool.recycled (stats.Pool.recycled + stats.Pool.fresh))
+    true
+    (stats.Pool.recycled > 10 * stats.Pool.fresh)
+
+(* Poison mode under a probe: every released packet is stamped with a
+   sentinel uid and zero size, so a probe that read a packet after its
+   release would journal or count the poison.  Router 2 drops every
+   fifth packet and link 3->4 is down for half a second, so the drop
+   paths release too.  The pooled, poisoned run must export exactly
+   what the unpooled run does. *)
+let test_probed_poison_matches_unpooled () =
+  let observe ~pooling =
+    let probe = Probe.create ~journal_capacity:4096 () in
+    let net = ring8_net ~probe ~pooling ~poison:pooling ~horizon:3.0 () in
+    Router.set_behavior (Net.router net 2) (fun _ pkt ->
+        if pkt.Packet.uid mod 5 = 0 then Router.Drop else Router.Forward);
+    Sim.schedule (Net.sim net) ~delay:1.5 (fun () ->
+        Net.fail_link net ~src:3 ~dst:4);
+    Sim.schedule (Net.sim net) ~delay:2.0 (fun () ->
+        Net.restore_link net ~src:3 ~dst:4);
+    Net.run ~until:3.0 net;
+    let path = Filename.temp_file "alloc_journal" ".jsonl" in
+    Out_channel.with_open_bin path (Probe.write_journal probe);
+    let jsonl = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    ( Net.pooling_active net,
+      jsonl,
+      Probe.conservation probe,
+      Telemetry.Export.to_string
+        (Telemetry.Export.json_of_registry (Probe.registry probe)) )
+  in
+  let live, jsonl, cons, metrics = observe ~pooling:true in
+  let _, jsonl0, cons0, metrics0 = observe ~pooling:false in
+  Alcotest.(check bool) "pooling live under the probe" true live;
+  Alcotest.(check bool) "journal is non-trivial" true (String.length jsonl > 10_000);
+  Alcotest.(check string) "journal JSONL equals the unpooled run's"
+    (Digest.to_hex (Digest.string jsonl0))
+    (Digest.to_hex (Digest.string jsonl));
+  Alcotest.(check bool) "conservation equals the unpooled run's" true (cons = cons0);
+  Alcotest.(check bool) "the run dropped packets" true (cons.Probe.total_dropped > 100);
+  Alcotest.(check string) "metrics equal the unpooled run's" metrics0 metrics
 
 (* Poison mode: a released packet is stamped loudly wrong, so a stale
    holder (the injected use-after-free) reads the sentinel instead of
@@ -207,6 +300,8 @@ let () =
             test_steady_state_budget;
           Alcotest.test_case "pooling inert when observed" `Quick
             test_pool_inert_when_observed;
+          Alcotest.test_case "probed ring8 steady state under ceiling" `Quick
+            test_probed_steady_state_budget;
           Alcotest.test_case "span recycling after ring wrap" `Quick
             test_span_recycling;
           Alcotest.test_case "siphash allocates only its result" `Quick
@@ -215,4 +310,6 @@ let () =
         [ Alcotest.test_case "use-after-free and double release" `Quick
             test_poison_catches_use_after_free;
           Alcotest.test_case "freelist growth and counters" `Quick
-            test_pool_grows_and_counts ] ) ]
+            test_pool_grows_and_counts;
+          Alcotest.test_case "probed pooled run matches unpooled" `Quick
+            test_probed_poison_matches_unpooled ] ) ]

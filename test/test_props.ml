@@ -434,6 +434,53 @@ let prop_meter_totals =
       Net.run net;
       Meter.total_bytes meter = Flow.sent f * size)
 
+(* --- packet fingerprint --- *)
+
+(* The fingerprint is SipHash over a fixed word layout; building the
+   words in a byte buffer instead of an int64 list must not move a
+   single hash value. *)
+let reference_fingerprint key (p : Packet.t) =
+  let header =
+    match p.Packet.proto with
+    | Packet.Udp -> [ 0L ]
+    | Packet.Tcp { seq; ack; syn; fin } ->
+        [ 1L; Int64.of_int seq; Int64.of_int ack;
+          Int64.of_int ((if syn then 2 else 0) lor if fin then 1 else 0) ]
+    | Packet.Ping seq -> [ 2L; Int64.of_int seq ]
+    | Packet.Pong seq -> [ 3L; Int64.of_int seq ]
+  in
+  Crypto_sim.Siphash.hash_int64s key
+    (Int64.of_int p.Packet.uid :: Int64.of_int p.Packet.src
+     :: Int64.of_int p.Packet.dst :: Int64.of_int p.Packet.flow
+     :: Int64.of_int p.Packet.size :: p.Packet.payload :: header)
+
+let gen_packet =
+  QCheck.Gen.(
+    let any_int = oneof [ int; small_signed_int; return max_int; return min_int ] in
+    let proto =
+      oneof
+        [ return Packet.Udp;
+          map
+            (fun (seq, ack, syn, fin) -> Packet.Tcp { Packet.seq; ack; syn; fin })
+            (quad any_int any_int bool bool);
+          map (fun s -> Packet.Ping s) any_int;
+          map (fun s -> Packet.Pong s) any_int ]
+    in
+    map
+      (fun ((uid, src, dst, flow), (size, payload, proto)) ->
+        let p = Packet.make_at ~now:0.0 ~uid ~src ~dst ~flow ~size proto in
+        p.Packet.payload <- payload;
+        p)
+      (pair
+         (quad any_int any_int any_int any_int)
+         (triple (int_range 1 max_int) (map Int64.of_int int) proto)))
+
+let prop_fingerprint_matches_word_list =
+  let key = Crypto_sim.Siphash.key_of_string "fingerprint-differential" in
+  QCheck.Test.make ~name:"fingerprint = SipHash of the word list" ~count:500
+    (QCheck.make ~print:Packet.describe gen_packet)
+    (fun p -> Packet.fingerprint key p = reference_fingerprint key p)
+
 let () =
   Alcotest.run "properties"
     [ ( "prioq",
@@ -442,6 +489,9 @@ let () =
             prop_prioq_matches_sorted_reference; prop_prioq_fifo_ties_interleaved;
             prop_prioq_pop_if_before; prop_prioq_clear_keeps_capacity ] );
       ("keyring-mac", List.map to_alco [ prop_keyring_mac_roundtrip ]);
+      ( "fingerprint",
+        [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xf1 |])
+            prop_fingerprint_matches_word_list ] );
       ("sim", List.map to_alco [ prop_sim_time_monotone ]);
       ("queues", List.map to_alco [ prop_fifo_occupancy_invariant; prop_red_physical_limit ]);
       ("tv", List.map to_alco [ prop_tv_reflexive; prop_tv_missing_fabricated_swap ]);

@@ -475,6 +475,88 @@ let check_export_pin ~shards ~prom ~json () =
       Alcotest.(check string) "json digest" json
         (Digest.to_hex (Digest.string (Export.to_string (without_wall_clock doc))))
 
+(* Byte pins on the probe's wire journal.  [simulate --journal] JSONL
+   and the [--trace 40] attacker dump of ring8/fatih (12 s, seed 7),
+   without and with a byzantine chaos fault plan, plus the stdout and
+   oracle report of a smoke [chaos --byzantine] sweep.  The digests were
+   recorded while the journal still held packets: the snapshot records
+   that replaced them must render every byte the same way. *)
+let with_quiet_stdout f =
+  let path = Filename.temp_file "mrdetect_pin" ".out" in
+  let oc = open_out path in
+  let stdout_backup = Unix.dup Unix.stdout in
+  flush stdout;
+  Unix.dup2 (Unix.descr_of_out_channel oc) Unix.stdout;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 stdout_backup Unix.stdout;
+      Unix.close stdout_backup;
+      close_out oc)
+    f;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let read_and_remove path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let check_journal_pin ~chaos ~stdout_md5 ~journal_md5 () =
+  let faults =
+    if not chaos then None
+    else begin
+      let g = Topology.Generate.ring ~n:8 in
+      let plan =
+        Faults.Chaos.generate ~seed:5 ~graph:g ~duration:12.0
+          ~budget:Faults.Chaos.byzantine_budget ()
+      in
+      let path = Filename.temp_file "mrdetect_pin" ".faults" in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Faults.Schedule.to_string plan));
+      Some path
+    end
+  in
+  let journal = Filename.temp_file "mrdetect_pin" ".jsonl" in
+  let out =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Sys.remove faults)
+      (fun () ->
+        with_quiet_stdout (fun () ->
+            Experiments.Simulate.run
+              (Experiments.Simulate.Config.make_exn ~protocol:"fatih"
+                 ~duration:12.0 ~seed:7 ~trace:40 ~journal ?faults
+                 Experiments.Simulate.Ring)))
+  in
+  let jsonl = read_and_remove journal in
+  Alcotest.(check bool) "journal is non-trivial" true
+    (String.length jsonl > 100_000);
+  Alcotest.(check string) "stdout (with --trace 40) digest" stdout_md5 (md5 out);
+  Alcotest.(check string) "journal JSONL digest" journal_md5 (md5 jsonl)
+
+let test_chaos_byzantine_report_pin () =
+  let json = Filename.temp_file "mrdetect_pin" ".json" in
+  let out =
+    with_quiet_stdout (fun () ->
+        Experiments.Fig_robustness.chaos_run ~seed:1 ~trials:2 ~smoke:true
+          ~byzantine:true ~json ())
+  in
+  let report = read_and_remove json in
+  (* The last stdout line names the (temporary) report path. *)
+  let out =
+    String.concat "\n"
+      (List.filter
+         (fun l -> not (String.ends_with ~suffix:json l))
+         (String.split_on_char '\n' out))
+  in
+  Alcotest.(check string) "chaos --byzantine stdout digest"
+    "81263cab9190aa6a37d4d6c06777103e" (md5 out);
+  Alcotest.(check string) "oracle report digest"
+    "7bebe685fea38c3405c34b9ab3a6a727" (md5 report)
+
 let () =
   Alcotest.run "telemetry"
     [ ("histogram",
@@ -514,4 +596,12 @@ let () =
               ~json:"ac79b9186d2d3bec9d0fa8352d2f84ff");
          Alcotest.test_case "metrics export pinned K=2" `Quick
            (check_export_pin ~shards:2 ~prom:"2470915eacf0669e01ca39ad7d9300e3"
-              ~json:"d8a2dceee4cdbf302ec26fc4e5a552f7") ]) ]
+              ~json:"d8a2dceee4cdbf302ec26fc4e5a552f7");
+         Alcotest.test_case "journal and trace pinned" `Quick
+           (check_journal_pin ~chaos:false ~stdout_md5:"723a9090923bfd675ccaed980c2a1462"
+              ~journal_md5:"0b1bc956f87a7bf6f0e776a799d9eae4");
+         Alcotest.test_case "journal and trace pinned, chaos plan" `Quick
+           (check_journal_pin ~chaos:true ~stdout_md5:"6b1afbe24193d796aab10cad541d0c49"
+              ~journal_md5:"24731d6902b4b1e61d8e8d9696f1a6dd");
+         Alcotest.test_case "chaos --byzantine report pinned" `Quick
+           test_chaos_byzantine_report_pin ]) ]
