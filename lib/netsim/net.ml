@@ -34,15 +34,6 @@ type t = {
   apps : (Packet.t -> unit) list ref array;
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
-  (* Always-on stats ride with the probe: [stats] is the main collector;
-     [shard_stats] one local per shard (empty for the classic engine),
-     fed inside windows on the shard domains and drained into [stats] at
-     every epoch barrier.  [replaying] marks the obs-replay path at a
-     flush so events already counted by a shard-local collector are not
-     counted again by the main one. *)
-  mutable stats : Stats.t option;
-  mutable shard_stats : Stats.t array;
-  mutable replaying : bool;
   (* Sharded mode: per-node uid counters, so packet identity never
      depends on cross-shard event interleaving.  Only the owning
      shard's domain touches a node's counter. *)
@@ -113,30 +104,25 @@ let subscribe_router t f =
 
 let subscribe_link_state t f = t.link_listeners <- f :: t.link_listeners
 
+let events_processed t =
+  match t.engine with
+  | Single s -> Sim.events_processed s
+  | Sharded sh -> Shard.events_processed sh
+
 let set_probe t probe =
+  if events_processed t > 0 then
+    invalid_arg "Net.set_probe: the engine has already processed events";
+  Option.iter (fun p -> Probe.attach p t.routers) probe;
   t.probe <- probe;
-  (match probe with
-  | Some p ->
-      let main = Stats.create ~n:(Topology.Graph.size t.graph) () in
-      t.stats <- Some main;
-      t.shard_stats <-
-        (match t.engine with
-        | Single _ -> [||]
-        | Sharded sh -> Array.init (Shard.k sh) (fun _ -> Stats.local main));
-      Probe.set_stats p (Some main)
-  | None ->
-      t.stats <- None;
-      t.shard_stats <- [||]);
   refresh_observe t
 let probe t = t.probe
-let stats t = t.stats
+let stats t = Option.bind t.probe Probe.stats
 
-(* Listener records are only built when a listener exists: the common
-   observed configuration (probe only) pays fields, not boxes. *)
+(* One sink per wire event: the probe (which journals, traces and feeds
+   its stats) and then any listeners.  Listener records are only built
+   when a listener exists: the common observed configuration (probe
+   only) pays fields, not boxes. *)
 let emit_iface t ~time ~router ~next kind =
-  (match t.stats with
-  | Some st when not t.replaying -> Stats.on_iface st ~time ~router kind
-  | _ -> ());
   (match t.probe with
   | Some p -> Probe.on_iface p ~time ~router ~next kind
   | None -> ());
@@ -147,9 +133,6 @@ let emit_iface t ~time ~router ~next kind =
       List.iter (fun f -> f ev) ls
 
 let emit_router t ~time ~router kind =
-  (match t.stats with
-  | Some st when not t.replaying -> Stats.on_router st ~time ~router kind
-  | _ -> ());
   (match t.probe with
   | Some p -> Probe.on_router p ~time ~router kind
   | None -> ());
@@ -185,26 +168,13 @@ let flow_rng t ~flow =
 
 (* Deliver one buffered shard observation at an epoch flush, in the
    merged (time, rank, emission) order — probes, listeners and apps see
-   exactly the single-heap event stream.  Stats were already collected
-   by the shard-local collector when the observation was buffered, so
-   the replay is marked and the emit paths skip the main collector. *)
+   exactly the single-heap event stream. *)
 let deliver_obs t (r : Shard.obs_rec) =
   match r.obs with
-  | Shard.Obs_iface { router; next; kind } ->
-      t.replaying <- true;
-      emit_iface t ~time:r.at ~router ~next kind;
-      t.replaying <- false
-  | Shard.Obs_router { router; kind } ->
-      t.replaying <- true;
-      emit_router t ~time:r.at ~router kind;
-      t.replaying <- false
-  | Shard.Obs_originate pkt -> (
-      match t.probe with Some p -> Probe.on_originate p pkt | None -> ())
-  | Shard.Obs_app { node; pkt } ->
-      (* App callbacks may re-enter the network (a TCP endpoint answering
-         synchronously); anything they cause is a new event, not a
-         replay, so the flag stays down. *)
-      List.iter (fun f -> f pkt) !(t.apps.(node))
+  | Shard.Obs_iface { router; next; kind } -> emit_iface t ~time:r.at ~router ~next kind
+  | Shard.Obs_router { router; kind } -> emit_router t ~time:r.at ~router kind
+  | Shard.Obs_originate pkt -> Option.iter (fun p -> Probe.on_originate p pkt) t.probe
+  | Shard.Obs_app { node; pkt } -> List.iter (fun f -> f pkt) !(t.apps.(node))
 
 (* Cross-shard receive as a registered tag: the handoff descriptor is
    (dest router, packet, prev) — no closure crosses the mailbox. *)
@@ -232,9 +202,6 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
       apps = Array.init n (fun _ -> ref []);
       pins = Hashtbl.create 16;
       probe = None;
-      stats = None;
-      shard_stats = [||];
-      replaying = false;
       uid_next = Array.make n 0;
       observed = false;
       has_apps = false;
@@ -280,10 +247,6 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
           ~on_event:(fun r ev ->
             match engine with
             | Sharded sh when Shard.in_window () ->
-                if Array.length t.shard_stats > 0 then
-                  Stats.on_router
-                    t.shard_stats.(Shard.current ())
-                    ~time:(Sim.now sim) ~router:(Router.id r) ev;
                 Shard.record sh (Shard.Obs_router { router = Router.id r; kind = ev })
             | _ -> emit_router t ~time:(Sim.now sim) ~router:(Router.id r) ev)
           ~local_deliver:(fun pkt ->
@@ -327,10 +290,6 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
           ~on_event:(fun i ev ->
             match engine with
             | Sharded sh when Shard.in_window () ->
-                if Array.length t.shard_stats > 0 then
-                  Stats.on_iface
-                    t.shard_stats.(Shard.current ())
-                    ~time:(Sim.now sim) ~router:(Iface.owner i) ev;
                 Shard.record sh
                   (Shard.Obs_iface
                      { router = Iface.owner i; next = Iface.next_hop i; kind = ev })
@@ -411,23 +370,14 @@ let set_link_corruption t ~src ~dst p =
   | None -> invalid_arg "Net.set_link_corruption: no such link"
 let restore_link t ~src ~dst = set_link t ~src ~dst true
 
+(* Only the probe observes originations; inside a shard window they are
+   buffered for it until the flush. *)
 let originate t pkt =
-  match t.engine with
-  | Sharded sh when Shard.in_window () ->
-      if Array.length t.shard_stats > 0 then
-        Stats.on_originate
-          t.shard_stats.(Shard.current ())
-          ~time:pkt.Packet.created pkt;
-      (* The buffered record only feeds the probe; skip it when no probe
-         can consume it at the flush. *)
-      if t.probe <> None then Shard.record sh (Shard.Obs_originate pkt);
-      Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
-  | _ ->
-      (match t.stats with
-      | Some st -> Stats.on_originate st ~time:pkt.Packet.created pkt
-      | None -> ());
-      (match t.probe with Some p -> Probe.on_originate p pkt | None -> ());
-      Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
+  (match (t.probe, t.engine) with
+  | None, _ -> ()
+  | Some _, Sharded sh when Shard.in_window () -> Shard.record sh (Shard.Obs_originate pkt)
+  | Some p, _ -> Probe.on_originate p pkt);
+  Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
 
 (* Traffic sources mint packets here so recycling is transparent: a
    freelisted record when the pool is live, a fresh one otherwise. *)
@@ -471,29 +421,10 @@ let run ?until ?on_epoch t =
   | Single s ->
       ignore on_epoch;
       Sim.run ?until s
-  | Sharded sh ->
-      (* Fold the per-shard stats collectors into the main one at every
-         epoch barrier, before any user epoch work reads them.  The fold
-         is exact integer arithmetic, so the aggregate is independent of
-         the shard count. *)
-      let on_epoch =
-        match t.stats with
-        | Some main when Array.length t.shard_stats > 0 ->
-            Some
-              (fun ~now ->
-                Array.iter (fun s -> Stats.drain ~into:main s) t.shard_stats;
-                match on_epoch with Some f -> f ~now | None -> ())
-        | _ -> on_epoch
-      in
-      Shard.run ?until ?on_epoch sh ~emit:(deliver_obs t)
+  | Sharded sh -> Shard.run ?until ?on_epoch sh ~emit:(deliver_obs t)
 
 let shards t = match t.engine with Single _ -> 0 | Sharded sh -> Shard.k sh
 let shard_engine t = match t.engine with Single _ -> None | Sharded sh -> Some sh
-
-let events_processed t =
-  match t.engine with
-  | Single s -> Sim.events_processed s
-  | Sharded sh -> Shard.events_processed sh
 
 let cpu_time_in_run t =
   match t.engine with

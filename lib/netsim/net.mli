@@ -111,20 +111,23 @@ val subscribe_link_state : t -> (src:int -> dst:int -> up:bool -> unit) -> unit
     crashes); feeds {!Core.Detector.S.on_ctrl}. *)
 
 val set_probe : t -> Probe.t option -> unit
-(** Attach (or detach) the telemetry probe: every iface/router event and
-    every origination is counted and journaled through it.  With no
-    probe attached the per-event overhead is one pointer test.
-    Attaching a probe also creates the always-on {!Stats} collector
-    (see {!stats}); in sharded mode, one local collector per shard is
-    fed on the shard domains and drained into the main one at every
-    epoch barrier, so the aggregate is byte-identical for every shard
-    count [K >= 1]. *)
+(** Attach (or detach) the telemetry probe, before the run: every
+    iface/router event and every origination goes to it — the one sink
+    per wire event besides any subscribed listeners — and it journals,
+    traces and feeds its {!Stats} collector.  Under the sharded engine
+    the events reach it at each epoch flush, in the merged (time, rank)
+    order, so what it records is byte-identical for every shard count
+    [K >= 1].  With no probe attached the per-event overhead is one
+    pointer test.  Raises [Invalid_argument] once the engine has
+    processed events: observation elision is fixed for the whole run
+    ({!Iface.set_observe}), and the probe's views assume it saw the
+    run from the start. *)
 
 val probe : t -> Probe.t option
 
 val stats : t -> Stats.t option
-(** The always-on time-series collector riding with the probe; [None]
-    when no probe is attached. *)
+(** The attached probe's time-series collector ({!Probe.stats});
+    [None] when no probe is attached. *)
 
 val attach_app : t -> node:int -> (Packet.t -> unit) -> unit
 (** Register a local-delivery handler at a node; every handler attached

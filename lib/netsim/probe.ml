@@ -42,33 +42,17 @@ type event =
 type t = {
   registry : Telemetry.Metrics.t;
   journal : event Telemetry.Journal.t;
-  (* Conservation counters.  Every packet handed to the network
-     (originate, fabricate, fragment pieces) ends up in exactly one of:
-     delivered, a drop cause, replaced-by-fragments, or still in flight
-     when the run stops. *)
-  injected : Telemetry.Metrics.counter;
-  fabricated : Telemetry.Metrics.counter;
-  fragments_created : Telemetry.Metrics.counter;
-  delivered : Telemetry.Metrics.counter;
-  fragmented_originals : Telemetry.Metrics.counter;
-  drop_congestion : Telemetry.Metrics.counter;
-  drop_red_early : Telemetry.Metrics.counter;
-  drop_link_down : Telemetry.Metrics.counter;
-  drop_corrupted : Telemetry.Metrics.counter;
-  drop_malicious : Telemetry.Metrics.counter;
-  drop_no_route : Telemetry.Metrics.counter;
-  drop_ttl_expired : Telemetry.Metrics.counter;
-  (* Non-conservation observations. *)
-  enqueued : Telemetry.Metrics.counter;
-  forwarded_hops : Telemetry.Metrics.counter;
-  malicious_modify : Telemetry.Metrics.counter;
-  malicious_delay : Telemetry.Metrics.counter;
+  (* The packet series are views: each registry counter is paired with
+     the per-router reading it mirrors, summed over the attached
+     network's routers whenever the registry or conservation is read.
+     Nothing on the wire path counts. *)
+  views : (Telemetry.Metrics.counter * (Router.t -> int)) list;
+  mutable routers : Router.t array;
   verdicts : Telemetry.Metrics.counter;
   alarms : Telemetry.Metrics.counter;
   faults_injected : Telemetry.Metrics.counter;
   pkt_size : Telemetry.Metrics.histogram;
   delivery_latency : Telemetry.Metrics.histogram;
-  malice_by_router : (int, Telemetry.Metrics.counter) Hashtbl.t;
   mutable first_alarm_time : float option;
   (* Verdicts are rare and load-bearing (the robustness oracle scores
      them after the run), so they are retained here in full even when
@@ -85,9 +69,9 @@ type t = {
      fresh records, so branches never share a window. *)
   tracer : Telemetry.Span.t option;
   named_tracks : (int, unit) Hashtbl.t;
-  (* Always-on stats collector (wired by [Net.set_probe]): verdicts,
-     round durations and faults feed its control-plane series directly —
-     they happen on the coordinator, outside any shard window. *)
+  (* Always-on stats collector, created by [attach] and fed from every
+     probe hook: wire events in the merged (time, rank) order, verdicts,
+     round durations and faults as they are recorded. *)
   mutable stats : Stats.t option;
 }
 
@@ -197,52 +181,118 @@ let journal_router j ~time ~router (ev : Router.event) =
   | Router.No_route pkt | Router.Ttl_expired pkt | Router.Delivered_local pkt ->
       journal_wire j ~time ~code ~router ~next:(-1) ~delay:0.0 ~fragments:0 pkt
 
-let drop_counter reg cause =
-  Telemetry.Metrics.counter reg "pkt_dropped_total"
-    ~help:"packets dropped, by cause" ~labels:[ ("cause", cause) ]
+let on_ifaces read r =
+  List.fold_left (fun acc i -> acc + read i) 0 (Router.ifaces r)
 
-let create ?registry ?(journal_capacity = 65536) ?tracer () =
-  let reg = match registry with Some r -> r | None -> Telemetry.Metrics.create () in
+(* Every packet handed to the network (originate, fabricate, fragment
+   pieces) ends up in exactly one of: delivered, a drop cause,
+   replaced-by-fragments, or still in flight when the run stops. *)
+let drop_causes =
+  [ ("ttl_expired", Router.ttl_expired_drops);
+    ("no_route", Router.no_route_drops);
+    ("malicious", Router.malicious_drops);
+    ("corrupted", on_ifaces Iface.corrupted_drops);
+    ("link_down", on_ifaces Iface.link_down_drops);
+    ("red_early", on_ifaces Iface.red_early_drops);
+    ("congestion", on_ifaces Iface.congestion_drops) ]
+
+(* The viewed series as (name, help, labels, reading), in registration
+   order — which is export order. *)
+let wire_series =
+  let c name help read = (name, help, [], read) in
+  [ c "malicious_delay_total" "malicious delay events" Router.delayed_packets;
+    c "malicious_modify_total" "payload modification events" Router.modified_packets;
+    c "pkt_forwarded_hops_total" "per-hop link deliveries"
+      (on_ifaces Iface.delivered_packets);
+    c "pkt_enqueued_total" "packets accepted into an output queue"
+      (on_ifaces Iface.enqueued_packets) ]
+  @ List.map
+      (fun (cause, read) ->
+        ("pkt_dropped_total", "packets dropped, by cause", [ ("cause", cause) ], read))
+      drop_causes
+  @ [ c "pkt_fragmented_total" "packets replaced by their fragments"
+        Router.fragmented_packets;
+      c "pkt_delivered_total" "packets delivered to a local application"
+        Router.delivered_packets;
+      c "pkt_fragments_total" "fragment packets created" Router.fragments_created;
+      c "pkt_fabricated_total" "packets injected by a malicious router"
+        Router.fabricated_packets;
+      c "pkt_injected_total" "packets originated by applications"
+        Router.originated_packets ]
+
+let malice r =
+  Router.malicious_drops r + Router.modified_packets r + Router.delayed_packets r
+  + Router.fabricated_packets r
+
+let create ?(journal_capacity = 65536) ?tracer () =
+  let reg = Telemetry.Metrics.create () in
   let c name help = Telemetry.Metrics.counter reg name ~help in
+  (* Each [let] fixes a registration, so the order below is the export
+     order. *)
+  let delivery_latency =
+    Telemetry.Metrics.histogram reg "delivery_latency_seconds" ~buckets:24
+      ~min_exp:(-14) ~help:"origination-to-delivery latency"
+  in
+  let pkt_size =
+    Telemetry.Metrics.histogram reg "pkt_size_bytes" ~buckets:16 ~min_exp:4
+      ~help:"size of injected packets"
+  in
+  let faults_injected = c "fault_injected_total" "benign faults injected into the run" in
+  let alarms = c "detector_alarms_total" "alarming detector verdicts" in
+  let verdicts = c "detector_verdicts_total" "detector round verdicts recorded" in
+  let views =
+    List.map
+      (fun (name, help, labels, read) ->
+        (Telemetry.Metrics.counter reg name ~help ~labels, read))
+      wire_series
+  in
   { registry = reg;
     journal = Telemetry.Journal.create ~capacity:journal_capacity ();
-    injected = c "pkt_injected_total" "packets originated by applications";
-    fabricated = c "pkt_fabricated_total" "packets injected by a malicious router";
-    fragments_created = c "pkt_fragments_total" "fragment packets created";
-    delivered = c "pkt_delivered_total" "packets delivered to a local application";
-    fragmented_originals =
-      c "pkt_fragmented_total" "packets replaced by their fragments";
-    drop_congestion = drop_counter reg "congestion";
-    drop_red_early = drop_counter reg "red_early";
-    drop_link_down = drop_counter reg "link_down";
-    drop_corrupted = drop_counter reg "corrupted";
-    drop_malicious = drop_counter reg "malicious";
-    drop_no_route = drop_counter reg "no_route";
-    drop_ttl_expired = drop_counter reg "ttl_expired";
-    enqueued = c "pkt_enqueued_total" "packets accepted into an output queue";
-    forwarded_hops = c "pkt_forwarded_hops_total" "per-hop link deliveries";
-    malicious_modify = c "malicious_modify_total" "payload modification events";
-    malicious_delay = c "malicious_delay_total" "malicious delay events";
-    verdicts = c "detector_verdicts_total" "detector round verdicts recorded";
-    alarms = c "detector_alarms_total" "alarming detector verdicts";
-    faults_injected = c "fault_injected_total" "benign faults injected into the run";
-    pkt_size =
-      Telemetry.Metrics.histogram reg "pkt_size_bytes" ~buckets:16 ~min_exp:4
-        ~help:"size of injected packets";
-    delivery_latency =
-      Telemetry.Metrics.histogram reg "delivery_latency_seconds" ~buckets:24
-        ~min_exp:(-14) ~help:"origination-to-delivery latency";
-    malice_by_router = Hashtbl.create 8;
+    views;
+    routers = [||];
+    verdicts;
+    alarms;
+    faults_injected;
+    pkt_size;
+    delivery_latency;
     first_alarm_time = None;
     verdicts_rev = [];
     tracer;
     named_tracks = Hashtbl.create 16;
     stats = None }
 
-let registry t = t.registry
+let attach t routers =
+  t.routers <- routers;
+  t.stats <-
+    Some
+      (Stats.create ~n:(Array.length routers)
+         ~latency:(Telemetry.Metrics.hist t.delivery_latency) ())
+
+let total t read = Array.fold_left (fun acc r -> acc + read r) 0 t.routers
+let set_count c n = Telemetry.Metrics.add c (n - Telemetry.Metrics.counter_value c)
+
+(* Bring the views up to the counts of record.  Per-router malice
+   series are registered at the first read that finds the router's
+   malice non-zero, in ascending router id. *)
+let sync t =
+  List.iter (fun (c, read) -> set_count c (total t read)) t.views;
+  Array.iter
+    (fun r ->
+      let m = malice r in
+      if m > 0 then
+        set_count
+          (Telemetry.Metrics.counter t.registry "malice_events_total"
+             ~help:"malicious router actions, by router"
+             ~labels:[ ("router", string_of_int (Router.id r)) ])
+          m)
+    t.routers
+
+let registry t =
+  sync t;
+  t.registry
+
 let journal t = t.journal
 let tracer t = t.tracer
-let set_stats t stats = t.stats <- stats
 let stats t = t.stats
 
 (* Name the (netsim, router) track on first use. *)
@@ -254,20 +304,10 @@ let net_track t sp router =
   end;
   router
 
-let malice_counter t router =
-  match Hashtbl.find_opt t.malice_by_router router with
-  | Some c -> c
-  | None ->
-      let c =
-        Telemetry.Metrics.counter t.registry "malice_events_total"
-          ~help:"malicious router actions, by router"
-          ~labels:[ ("router", string_of_int router) ]
-      in
-      Hashtbl.add t.malice_by_router router c;
-      c
-
 let on_originate t (pkt : Packet.t) =
-  Telemetry.Metrics.inc t.injected;
+  (match t.stats with
+  | Some st -> Stats.on_originate st ~time:pkt.Packet.created pkt
+  | None -> ());
   Telemetry.Metrics.observe t.pkt_size (float_of_int pkt.Packet.size);
   match t.tracer with
   | None -> ()
@@ -345,14 +385,7 @@ let trace_iface t sp ~time ~router ~next (ev : Iface.event) =
       end
 
 let on_iface t ~time ~router ~next (ev : Iface.event) =
-  (match ev with
-  | Iface.Enqueued _ -> Telemetry.Metrics.inc t.enqueued
-  | Iface.Drop_congestion _ -> Telemetry.Metrics.inc t.drop_congestion
-  | Iface.Drop_red_early _ -> Telemetry.Metrics.inc t.drop_red_early
-  | Iface.Drop_link_down _ -> Telemetry.Metrics.inc t.drop_link_down
-  | Iface.Drop_corrupted _ -> Telemetry.Metrics.inc t.drop_corrupted
-  | Iface.Transmit_start _ -> ()
-  | Iface.Delivered _ -> Telemetry.Metrics.inc t.forwarded_hops);
+  (match t.stats with Some st -> Stats.on_iface st ~time ~router ev | None -> ());
   journal_iface t.journal ~time ~router ~next ev;
   match t.tracer with
   | Some sp -> trace_iface t sp ~time ~router ~next ev
@@ -396,27 +429,11 @@ let trace_router t sp ~time ~router (ev : Router.event) =
   end
 
 let on_router t ~time ~router (ev : Router.event) =
+  (match t.stats with Some st -> Stats.on_router st ~time ~router ev | None -> ());
   (match ev with
-  | Router.Malicious_drop _ ->
-      Telemetry.Metrics.inc t.drop_malicious;
-      Telemetry.Metrics.inc (malice_counter t router)
-  | Router.Malicious_modify _ ->
-      Telemetry.Metrics.inc t.malicious_modify;
-      Telemetry.Metrics.inc (malice_counter t router)
-  | Router.Malicious_delay _ ->
-      Telemetry.Metrics.inc t.malicious_delay;
-      Telemetry.Metrics.inc (malice_counter t router)
-  | Router.Fabricated _ ->
-      Telemetry.Metrics.inc t.fabricated;
-      Telemetry.Metrics.inc (malice_counter t router)
-  | Router.Fragmented { fragments; _ } ->
-      Telemetry.Metrics.inc t.fragmented_originals;
-      Telemetry.Metrics.add t.fragments_created fragments
-  | Router.No_route _ -> Telemetry.Metrics.inc t.drop_no_route
-  | Router.Ttl_expired _ -> Telemetry.Metrics.inc t.drop_ttl_expired
   | Router.Delivered_local pkt ->
-      Telemetry.Metrics.inc t.delivered;
-      Telemetry.Metrics.observe t.delivery_latency (time -. pkt.Packet.created));
+      Telemetry.Metrics.observe t.delivery_latency (time -. pkt.Packet.created)
+  | _ -> ());
   journal_router t.journal ~time ~router ev;
   match t.tracer with
   | Some sp -> trace_router t sp ~time ~router ev
@@ -493,8 +510,6 @@ let trace_instant t ~track ~name ?cat ~time ?routers ?args () =
 
 (* --- conservation --- *)
 
-let v = Telemetry.Metrics.counter_value
-
 type conservation = {
   total_injected : int;   (* originate + fabricate + fragments *)
   total_delivered : int;
@@ -504,14 +519,16 @@ type conservation = {
 }
 
 let conservation t =
-  let total_injected = v t.injected + v t.fabricated + v t.fragments_created in
-  let total_delivered = v t.delivered in
-  let total_dropped =
-    v t.drop_congestion + v t.drop_red_early + v t.drop_link_down
-    + v t.drop_corrupted + v t.drop_malicious + v t.drop_no_route
-    + v t.drop_ttl_expired
+  let total_injected =
+    total t (fun r ->
+        Router.originated_packets r + Router.fabricated_packets r
+        + Router.fragments_created r)
   in
-  let total_fragmented = v t.fragmented_originals in
+  let total_delivered = total t Router.delivered_packets in
+  let total_dropped =
+    List.fold_left (fun acc (_, read) -> acc + total t read) 0 drop_causes
+  in
+  let total_fragmented = total t Router.fragmented_packets in
   { total_injected; total_delivered; total_dropped; total_fragmented;
     in_flight = total_injected - total_delivered - total_dropped - total_fragmented }
 

@@ -4,10 +4,21 @@
     outcome, per-router malice counters, size and latency histograms)
     with a bounded {!Telemetry.Journal} of typed records covering all
     three layers: wire events (link and router), detector verdicts and
-    injected faults.  Attach one to a network with {!Net.set_probe} —
-    the forwarding plane feeds it directly, and detectors add verdicts
-    via {!record_verdict}.  With no probe attached the per-event cost in
-    the forwarding plane is a single pointer test.
+    injected faults, and with the run's {!Stats} collector.  Attach one
+    to a network with {!Net.set_probe} before the run — the forwarding
+    plane hands it every wire event, and detectors add verdicts via
+    {!record_verdict}.  With no probe attached the per-event cost in the
+    forwarding plane is a single pointer test.
+
+    The probe counts nothing on the wire path.  Its packet series
+    ([pkt_*_total], [malicious_modify_total], [malicious_delay_total]
+    and the per-router [malice_events_total]) are views over the
+    always-on per-cause {!Iface} and {!Router} counters of the attached
+    network — the counts of record — brought up to date whenever
+    {!registry} or {!conservation} is read.  A router's
+    [malice_events_total] series (its drops, modifications, delays and
+    fabrications) is registered at the first such read that finds it
+    non-zero, routers in ascending id order.
 
     The journal retains no packets.  A wire event is journaled as a
     {!wire} snapshot: the few ints the renderers need (router, next hop,
@@ -23,10 +34,7 @@
 
     {!describe} renders any record as a one-line trace entry (what
     [mrdetect simulate --trace N] prints); exporters turn the journal
-    into JSONL with {!write_journal}.  The probe's counters are the
-    detectors'-eye view; the counts of record are the always-on
-    per-cause {!Iface} and {!Router} counters, which agree with them
-    whenever a probe is attached from the start of a run.
+    into JSONL with {!write_journal}.
 
     A probe can additionally bridge into a {!Telemetry.Span} collector
     (pass [tracer] at creation): {!on_originate} then assigns each
@@ -68,40 +76,42 @@ type event =
 
 type t
 
-val create :
-  ?registry:Telemetry.Metrics.t ->
-  ?journal_capacity:int ->
-  ?tracer:Telemetry.Span.t ->
-  unit ->
-  t
-(** A fresh probe; [journal_capacity] bounds the journal (default 65536
-    records).  Pass [registry] to share one registry across several
-    probes (or with application metrics); pass [tracer] to record causal
+val create : ?journal_capacity:int -> ?tracer:Telemetry.Span.t -> unit -> t
+(** A fresh probe with its own registry; [journal_capacity] bounds the
+    journal (default 65536 records).  Pass [tracer] to record causal
     spans alongside the journal. *)
 
+val attach : t -> Router.t array -> unit
+(** Bind the probe to a network's routers, indexed by id (done by
+    {!Net.set_probe}): its packet series read their counters, and a
+    fresh {!Stats} collector sized for them starts. *)
+
 val registry : t -> Telemetry.Metrics.t
+(** The registry, its packet series synced from the attached routers'
+    counters first. *)
+
 val journal : t -> event Telemetry.Journal.t
 
 val tracer : t -> Telemetry.Span.t option
 (** The span collector attached at creation, if any. *)
 
-val set_stats : t -> Stats.t option -> unit
-(** Wire the always-on {!Stats} collector (done by [Net.set_probe]):
-    verdicts, faults and round spans then feed its control-plane series
-    and histograms — with or without a tracer attached. *)
-
 val stats : t -> Stats.t option
+(** The collector started by {!attach}: wire events, verdicts, faults
+    and round spans feed it — with or without a tracer attached.  Its
+    delivery-latency histogram is the registry's
+    [delivery_latency_seconds] buckets. *)
 
 val on_originate : t -> Packet.t -> unit
-(** Count an application origination.  With a tracer attached this also
-    draws the sampling coin and, when sampled, stamps [Packet.trace]
-    and records an "originate" instant. *)
+(** Observe an application origination: feed {!stats} and the size
+    histogram.  With a tracer attached this also draws the sampling coin
+    and, when sampled, stamps [Packet.trace] and records an "originate"
+    instant. *)
 
 val on_iface : t -> time:float -> router:int -> next:int -> Iface.event -> unit
 val on_router : t -> time:float -> router:int -> Router.event -> unit
-(** Forwarding-plane hooks (called by {!Net}): bump the matching
-    counters, journal the event's {!wire} snapshot and (for traced
-    packets) record hop spans / instants. *)
+(** Forwarding-plane hooks (called by {!Net}): feed {!stats}, journal
+    the event's {!wire} snapshot and (for traced packets) record hop
+    spans / instants. *)
 
 val journal_iface :
   event Telemetry.Journal.t -> time:float -> router:int -> next:int ->
@@ -198,6 +208,7 @@ type conservation = {
 }
 
 val conservation : t -> conservation
+(** Computed from the attached routers' and interfaces' counters. *)
 
 val describe : event -> string
 (** The one-line trace rendering ("12.0345 r3->r4 deliver #812

@@ -50,6 +50,14 @@ type t = {
   mutable forwarded_packets : int;
   mutable delivered_packets : int;
   mutable malicious_drops : int;
+  mutable originated_packets : int;
+  mutable no_route_drops : int;
+  mutable ttl_expired_drops : int;
+  mutable fabricated_packets : int;
+  mutable fragmented_packets : int;
+  mutable fragments_created : int;
+  mutable modified_packets : int;
+  mutable delayed_packets : int;
 }
 
 let no_release (_ : Packet.t) = ()
@@ -64,7 +72,9 @@ let create ~sim ~id ~jitter ?fresh_uid ?(release = no_release) ~on_event
     forwarding = (fun ~prev:_ _ -> -1); behavior = honest; mtu = None;
     mcast = Hashtbl.create 2;
     received_packets = 0; forwarded_packets = 0; delivered_packets = 0;
-    malicious_drops = 0 }
+    malicious_drops = 0; originated_packets = 0; no_route_drops = 0;
+    ttl_expired_drops = 0; fabricated_packets = 0; fragmented_packets = 0;
+    fragments_created = 0; modified_packets = 0; delayed_packets = 0 }
 
 let id t = t.id
 let set_observe t v = t.observe <- v
@@ -118,6 +128,8 @@ let enqueue_after_jitter t iface pkt =
    upstream router ever announced. *)
 let fragment t ~next iface pkt mtu =
   let pieces = (pkt.Packet.size + mtu - 1) / mtu in
+  t.fragmented_packets <- t.fragmented_packets + 1;
+  t.fragments_created <- t.fragments_created + pieces;
   if t.observe then
     t.on_event t (Fragmented { next; original = pkt; fragments = pieces });
   let remaining = ref pkt.Packet.size in
@@ -144,6 +156,7 @@ let fragment_if_needed t ~next iface pkt =
 let forward_one t ~prev ~next pkt =
   match Hashtbl.find t.out next with
   | exception Not_found ->
+      t.no_route_drops <- t.no_route_drops + 1;
       if t.observe then t.on_event t (No_route pkt);
       t.release pkt
   | iface ->
@@ -174,10 +187,12 @@ let forward_one t ~prev ~next pkt =
         | Modify payload ->
             let old_payload = pkt.Packet.payload in
             pkt.Packet.payload <- payload;
+            t.modified_packets <- t.modified_packets + 1;
             if t.observe then
               t.on_event t (Malicious_modify { next; pkt; old_payload });
             fragment_if_needed t ~next iface pkt
         | Delay d ->
+            t.delayed_packets <- t.delayed_packets + 1;
             if t.observe then
               t.on_event t (Malicious_delay { next; pkt; delay = d });
             Sim.schedule t.sim ~delay:d (fun () ->
@@ -186,6 +201,7 @@ let forward_one t ~prev ~next pkt =
 
 let receive_prev t ~prev pkt =
   t.received_packets <- t.received_packets + 1;
+  if prev < 0 then t.originated_packets <- t.originated_packets + 1;
   match Hashtbl.find_opt t.mcast pkt.Packet.dst with
   | Some (branches, local) ->
       (* Multicast: duplicate per branch (same identity, §7.4.3);
@@ -198,7 +214,8 @@ let receive_prev t ~prev pkt =
            end
       in
       if expired then begin
-        if t.observe then t.on_event t (Ttl_expired pkt);
+        t.ttl_expired_drops <- t.ttl_expired_drops + 1;
+      if t.observe then t.on_event t (Ttl_expired pkt);
         t.release pkt
       end
       else begin
@@ -227,12 +244,14 @@ let receive_prev t ~prev pkt =
          end
     in
     if expired then begin
+      t.ttl_expired_drops <- t.ttl_expired_drops + 1;
       if t.observe then t.on_event t (Ttl_expired pkt);
       t.release pkt
     end
     else begin
       let next = t.forwarding ~prev pkt in
       if next < 0 then begin
+        t.no_route_drops <- t.no_route_drops + 1;
         if t.observe then t.on_event t (No_route pkt);
         t.release pkt
       end
@@ -247,6 +266,7 @@ let fabricate t ~next pkt =
   match iface_to t next with
   | None -> invalid_arg "Router.fabricate: no interface to that neighbour"
   | Some iface ->
+      t.fabricated_packets <- t.fabricated_packets + 1;
       if t.observe then t.on_event t (Fabricated { next; pkt });
       Iface.enqueue iface pkt
 
@@ -254,3 +274,11 @@ let received_packets t = t.received_packets
 let forwarded_packets t = t.forwarded_packets
 let delivered_packets t = t.delivered_packets
 let malicious_drops t = t.malicious_drops
+let originated_packets t = t.originated_packets
+let no_route_drops t = t.no_route_drops
+let ttl_expired_drops t = t.ttl_expired_drops
+let fabricated_packets t = t.fabricated_packets
+let fragmented_packets t = t.fragmented_packets
+let fragments_created t = t.fragments_created
+let modified_packets t = t.modified_packets
+let delayed_packets t = t.delayed_packets

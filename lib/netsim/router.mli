@@ -113,9 +113,15 @@ val fabricate : t -> next:int -> Packet.t -> unit
 (** Inject a packet the router made up straight into an output queue
     (packet-fabrication attack); emits [Fabricated]. *)
 
+(** Always-on per-router counters, one per outcome, bumped whether or
+    not the network is observed; {!Probe}'s packet and malice series
+    are views over them. *)
+
 val received_packets : t -> int
-(** Packets handed to this router (originations and arrivals; always-on
-    per-router counter, scraped by the telemetry layer). *)
+(** Packets handed to this router (originations and arrivals). *)
+
+val originated_packets : t -> int
+(** Packets originated here ([prev] of [-1]: {!Net.originate}). *)
 
 val forwarded_packets : t -> int
 (** Packets the router's behavior forwarded toward a next hop. *)
@@ -125,3 +131,23 @@ val delivered_packets : t -> int
 
 val malicious_drops : t -> int
 (** Packets this router's behavior discarded ([Malicious_drop]). *)
+
+val modified_packets : t -> int
+(** Payloads the behavior overwrote ([Malicious_modify]). *)
+
+val delayed_packets : t -> int
+(** Packets the behavior held back ([Malicious_delay]). *)
+
+val fabricated_packets : t -> int
+(** Packets injected through {!fabricate} ([Fabricated]). *)
+
+val fragmented_packets : t -> int
+(** Packets replaced by their fragments ([Fragmented]). *)
+
+val fragments_created : t -> int
+(** Fragment packets those splits created. *)
+
+val no_route_drops : t -> int
+val ttl_expired_drops : t -> int
+(** Packets dropped for want of a next hop ([No_route]) or a spent TTL
+    ([Ttl_expired]). *)

@@ -1,33 +1,15 @@
 (* Always-on time-series collection for a simulated run.
 
-   One [Stats.t] rides along with the probe and is fed from the same
-   event sites; everything it keeps is bounded: downsampling
-   [Telemetry.Timeseries] rings for the headline rates, mergeable
-   [Telemetry.Hist] histograms for latencies and durations, and flat
-   per-router arrays for the queue-depth series.  Per-link transmit and
-   drop totals are not kept here: the interfaces' own always-on counters
-   are read at export.
+   One [Stats.t] belongs to the probe and is fed from the probe's hooks;
+   everything it keeps is bounded: downsampling [Telemetry.Timeseries]
+   rings for the headline rates, [Telemetry.Hist] histograms for
+   latencies and durations, and flat per-router arrays for the
+   queue-depth series.  Per-link transmit and drop totals are not kept
+   here: the interfaces' own always-on counters are read at export.
 
-   Sharded runs split the collector in two tiers:
-
-   - {e per-shard locals} ([local]) receive the data-plane events of
-     their shard's windows on the shard's own domain and are folded into
-     the main collector at every epoch barrier ([drain]).  All merged
-     state is integer (bucket counts and fixed-point sums), so the fold
-     is exact — commutative and associative — and the aggregate is
-     byte-identical for every shard count K >= 1.
-
-   - {e shared single-writer state} (queue-depth tracking) is
-     physically one set of arrays referenced by
-     the main collector and every local: cell [r] is only ever touched
-     by the domain executing router [r]'s events (its owning shard
-     inside a window, the coordinator at a barrier), so sharing is
-     race-free and the running queue depth never splits across
-     collectors.
-
-   Control-plane observations (verdicts, round durations, ctrl channel
-   retries, faults) happen at epoch barriers on the coordinator and feed
-   the main collector directly. *)
+   There is one collector per run, fed on the coordinator in the merged
+   (time, rank) event order — under the sharded engine at each epoch
+   flush — so what it records does not depend on the shard count. *)
 
 module Ts = Telemetry.Timeseries
 module Hist = Telemetry.Hist
@@ -41,22 +23,16 @@ let series_resolution = 0.05
 let router_capacity = 128
 let router_resolution = 0.1
 
-type shared = {
+type t = {
   n : int;
   depth : int array; (* running queued-packet count per router *)
   queue_depth : Ts.t array; (* event-weighted depth samples per router *)
-}
-
-type t = {
-  shared : shared;
-  (* Mergeable data-plane collectors (per-shard local in sharded runs). *)
   injected : Ts.t;
   delivered : Ts.t;
   enqueued : Ts.t;
   dropped : Ts.t;
   malice : Ts.t;
-  latency : Hist.t; (* origination-to-delivery, matches probe geometry *)
-  (* Control plane: main collector only (locals leave these empty). *)
+  latency : Hist.t; (* the probe's delivery-latency buckets, read only *)
   verdicts : Ts.t;
   alarms : Ts.t;
   faults : Ts.t;
@@ -69,18 +45,21 @@ type t = {
 }
 
 let headline () = Ts.create ~capacity:series_capacity ~resolution:series_resolution ()
-let latency_hist () = Hist.create ~buckets:24 ~min_exp:(-14) ()
 let round_hist () = Hist.create ~buckets:20 ~min_exp:(-10) ()
 let detect_hist () = Hist.create ~buckets:20 ~min_exp:(-4) ()
 
-let of_shared shared =
-  { shared;
+let create ~n ~latency () =
+  { n;
+    depth = Array.make n 0;
+    queue_depth =
+      Array.init n (fun _ ->
+          Ts.create ~capacity:router_capacity ~resolution:router_resolution ());
     injected = headline ();
     delivered = headline ();
     enqueued = headline ();
     dropped = headline ();
     malice = headline ();
-    latency = latency_hist ();
+    latency;
     verdicts = headline ();
     alarms = headline ();
     faults = headline ();
@@ -91,17 +70,7 @@ let of_shared shared =
     ctrl_timeouts = 0;
     attack_start = -1.0 }
 
-let create ~n () =
-  of_shared
-    { n;
-      depth = Array.make n 0;
-      queue_depth =
-        Array.init n (fun _ ->
-            Ts.create ~capacity:router_capacity ~resolution:router_resolution ()) }
-
-let local t = of_shared t.shared
-
-let routers t = t.shared.n
+let routers t = t.n
 let set_attack_start t time = t.attack_start <- time
 let attack_start t = if t.attack_start < 0.0 then None else Some t.attack_start
 
@@ -109,34 +78,31 @@ let attack_start t = if t.attack_start < 0.0 then None else Some t.attack_start
 
 let on_originate t ~time (_pkt : Packet.t) = Ts.record t.injected ~time 1.0
 
-let depth_sample sh ~time router =
-  Ts.record sh.queue_depth.(router) ~time (float_of_int sh.depth.(router))
+let depth_sample t ~time router =
+  Ts.record t.queue_depth.(router) ~time (float_of_int t.depth.(router))
 
 let on_iface t ~time ~router (ev : Iface.event) =
-  let sh = t.shared in
   match ev with
   | Iface.Enqueued _ ->
       Ts.record t.enqueued ~time 1.0;
-      sh.depth.(router) <- sh.depth.(router) + 1;
-      depth_sample sh ~time router
+      t.depth.(router) <- t.depth.(router) + 1;
+      depth_sample t ~time router
   | Iface.Transmit_start _ ->
-      if sh.depth.(router) > 0 then sh.depth.(router) <- sh.depth.(router) - 1;
-      depth_sample sh ~time router
+      if t.depth.(router) > 0 then t.depth.(router) <- t.depth.(router) - 1;
+      depth_sample t ~time router
   | Iface.Drop_link_down _ ->
       Ts.record t.dropped ~time 1.0;
       (* The packet had left the queue (or the queue is being flushed);
          keep the running depth honest either way. *)
-      if sh.depth.(router) > 0 then sh.depth.(router) <- sh.depth.(router) - 1;
-      depth_sample sh ~time router
+      if t.depth.(router) > 0 then t.depth.(router) <- t.depth.(router) - 1;
+      depth_sample t ~time router
   | Iface.Drop_congestion _ | Iface.Drop_red_early _ | Iface.Drop_corrupted _ ->
       Ts.record t.dropped ~time 1.0
   | Iface.Delivered _ -> ()
 
 let on_router t ~time ~router:_ (ev : Router.event) =
   match ev with
-  | Router.Delivered_local pkt ->
-      Ts.record t.delivered ~time 1.0;
-      Hist.record t.latency (time -. pkt.Packet.created)
+  | Router.Delivered_local _ -> Ts.record t.delivered ~time 1.0
   | Router.Malicious_drop _ ->
       Ts.record t.dropped ~time 1.0;
       Ts.record t.malice ~time 1.0
@@ -185,46 +151,6 @@ let on_ctrl_send t ~attempts ~ok =
 
 let on_fault t ~time = Ts.record t.faults ~time 1.0
 
-(* --- epoch-barrier aggregation --------------------------------------- *)
-
-let merge_tbl ~into fresh src =
-  Hashtbl.iter
-    (fun key h -> Hist.merge_into ~into:(find_hist into fresh key) h)
-    src
-
-let merge_into ~into src =
-  Ts.merge_into ~into:into.injected src.injected;
-  Ts.merge_into ~into:into.delivered src.delivered;
-  Ts.merge_into ~into:into.enqueued src.enqueued;
-  Ts.merge_into ~into:into.dropped src.dropped;
-  Ts.merge_into ~into:into.malice src.malice;
-  Hist.merge_into ~into:into.latency src.latency;
-  Ts.merge_into ~into:into.verdicts src.verdicts;
-  Ts.merge_into ~into:into.alarms src.alarms;
-  Ts.merge_into ~into:into.faults src.faults;
-  merge_tbl ~into:into.round_duration round_hist src.round_duration;
-  merge_tbl ~into:into.detection_latency detect_hist src.detection_latency;
-  Hist.merge_into ~into:into.ctrl_attempts src.ctrl_attempts;
-  into.ctrl_sends <- into.ctrl_sends + src.ctrl_sends;
-  into.ctrl_timeouts <- into.ctrl_timeouts + src.ctrl_timeouts
-
-let drain ~into src =
-  merge_into ~into src;
-  Ts.clear src.injected;
-  Ts.clear src.delivered;
-  Ts.clear src.enqueued;
-  Ts.clear src.dropped;
-  Ts.clear src.malice;
-  Hist.clear src.latency;
-  Ts.clear src.verdicts;
-  Ts.clear src.alarms;
-  Ts.clear src.faults;
-  Hashtbl.reset src.round_duration;
-  Hashtbl.reset src.detection_latency;
-  Hist.clear src.ctrl_attempts;
-  src.ctrl_sends <- 0;
-  src.ctrl_timeouts <- 0
-
 (* --- JSON view ------------------------------------------------------- *)
 
 let series_json name ts =
@@ -256,7 +182,6 @@ let sorted_hists tbl =
 
 let to_json t ~ifaces =
   let open Telemetry.Export in
-  let sh = t.shared in
   let series =
     [ ("injected", t.injected); ("delivered", t.delivered);
       ("enqueued", t.enqueued); ("dropped", t.dropped); ("malice", t.malice);
@@ -284,10 +209,10 @@ let to_json t ~ifaces =
       ifaces
   in
   let routers =
-    List.init sh.n (fun r ->
+    List.init t.n (fun r ->
         Assoc
           [ ("router", Int r);
-            ("queue_depth", series_json "queue_depth" sh.queue_depth.(r)) ])
+            ("queue_depth", series_json "queue_depth" t.queue_depth.(r)) ])
   in
   Assoc
     [ ("series", List (List.map (fun (n, ts) -> series_json n ts) series));
@@ -331,7 +256,7 @@ let prometheus t =
     (fun r ts ->
       prometheus_append_timeseries buf ~name:"stats_queue_depth"
         ~labels:[ ("router", string_of_int r) ] ts)
-    t.shared.queue_depth;
+    t.queue_depth;
   Buffer.contents buf
 
 let json_of_series = series_json
@@ -348,7 +273,7 @@ let delivery_latency t = t.latency
 let ctrl_attempts_hist t = t.ctrl_attempts
 let ctrl_sends t = t.ctrl_sends
 let ctrl_timeouts t = t.ctrl_timeouts
-let queue_depth t r = t.shared.queue_depth.(r)
+let queue_depth t r = t.queue_depth.(r)
 
 let round_durations t = sorted_hists t.round_duration
 let detection_latencies t = sorted_hists t.detection_latency

@@ -1,31 +1,23 @@
 (** Always-on time-series collection for a simulated run.
 
-    A [Stats.t] rides along with the {!Probe}: headline event rates as
-    downsampling {!Telemetry.Timeseries} rings, latency and duration
-    {!Telemetry.Hist} histograms and per-router queue-depth series — all
-    bounded, all fed with O(1) allocation-free records from the same
-    sites that feed the probe.  Per-link transmit/drop totals are the
-    interfaces' own counters ({!Iface.tx_packets},
-    {!Iface.dropped_packets}), read at export.
+    A [Stats.t] belongs to a {!Probe} and is fed by the probe's hooks:
+    headline event rates as downsampling {!Telemetry.Timeseries} rings,
+    latency and duration {!Telemetry.Hist} histograms and per-router
+    queue-depth series — all bounded, all O(1) allocation-free records.
+    Per-link transmit/drop totals are the interfaces' own counters
+    ({!Iface.tx_packets}, {!Iface.dropped_packets}), read at export.
 
-    Sharded runs keep one {!local} collector per shard, fed on the
-    shard's own domain inside windows, and {!drain} them into the main
-    collector at every epoch barrier.  Merged state is integer bucket
-    counts plus fixed-point sums, so the fold is exact (commutative and
-    associative) and the aggregate is byte-identical for every shard
-    count [K >= 1].  Queue-depth tracking is a set of
-    shared single-writer arrays (router [r]'s cells are only touched by
-    the domain executing [r]'s events), so the running depth never
-    splits across collectors. *)
+    A run has one collector, fed on the coordinator in the merged
+    (time, rank) event order — under the sharded engine at each epoch
+    flush — so its output is byte-identical for every shard count
+    [K >= 1]. *)
 
 type t
 
-val create : n:int -> unit -> t
-(** The main collector for an [n]-router network. *)
-
-val local : t -> t
-(** A per-shard local collector: fresh mergeable series/histograms,
-    {e sharing} the per-router arrays of the parent. *)
+val create : n:int -> latency:Telemetry.Hist.t -> unit -> t
+(** The collector for an [n]-router network.  [latency] is the
+    delivery-latency histogram the probe records into; the collector
+    reads it for its views and never records into it. *)
 
 val routers : t -> int
 
@@ -35,13 +27,13 @@ val set_attack_start : t -> float -> unit
 
 val attack_start : t -> float option
 
-(** {2 Data plane} (safe on shard domains via {!local} collectors) *)
+(** {2 Data plane} *)
 
 val on_originate : t -> time:float -> Packet.t -> unit
 val on_iface : t -> time:float -> router:int -> Iface.event -> unit
 val on_router : t -> time:float -> router:int -> Router.event -> unit
 
-(** {2 Control plane} (coordinator only — feed the main collector) *)
+(** {2 Control plane} *)
 
 val on_verdict : t -> time:float -> detector:string -> alarm:bool -> unit
 
@@ -52,18 +44,6 @@ val on_round : t -> track:string -> start:float -> finish:float -> unit
 
 val on_ctrl_send : t -> attempts:int -> ok:bool -> unit
 val on_fault : t -> time:float -> unit
-
-(** {2 Aggregation} *)
-
-val merge_into : into:t -> t -> unit
-(** Fold [src]'s mergeable collectors into [into] (exact integer
-    arithmetic; shared arrays are left alone). *)
-
-val drain : into:t -> t -> unit
-(** {!merge_into} followed by clearing [src]'s mergeable collectors —
-    the per-epoch-barrier step for per-shard locals.  Shared state
-    (queue depths) is untouched: it lives in one place
-    and needs no folding. *)
 
 (** {2 Views} *)
 

@@ -6,11 +6,10 @@
     {!Export} renders every Prometheus histogram from one, so [le=]
     edges are always exactly {!uppers}.
 
-    A [Hist.t] is built to be {e merged}: per-shard local collectors are
-    combined at epoch barriers, and the combined result must be
-    byte-identical for every shard count.  Bucket counts are ints and
-    the value sum is held in fixed point ({!quantum} units), so {!merge}
-    is exact integer addition — commutative {e and} associative, hence
+    A [Hist.t] is built to be {e merged} (the robustness oracle folds
+    its per-trial histograms together).  Bucket counts are ints and the
+    value sum is held in fixed point ({!quantum} units), so {!merge} is
+    exact integer addition — commutative {e and} associative, hence
     independent of merge order.
 
     [record] is O(1) and allocation-free. *)
@@ -31,7 +30,6 @@ val create : ?buckets:int -> ?min_exp:int -> unit -> t
     buckets. *)
 
 val copy : t -> t
-val clear : t -> unit
 
 val record : t -> float -> unit
 (** Count a value: one array increment, one int add.  No allocation.

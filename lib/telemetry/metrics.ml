@@ -76,6 +76,8 @@ let observe h v =
   Hist.record h.hist v;
   h.sum <- h.sum +. v
 
+let hist h = h.hist
+
 let snapshot_series s =
   let sample =
     match s.kind with

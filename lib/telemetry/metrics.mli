@@ -50,6 +50,9 @@ val observe : histogram -> float -> unit
 (** {!Hist.record} the value and add it to the float sum, which (unlike
     the Hist's fixed-point sum) is what the exporters report. *)
 
+val hist : histogram -> Hist.t
+(** The live buckets, for collectors that share them. *)
+
 type sample =
   | Counter_sample of int
   | Gauge_sample of float

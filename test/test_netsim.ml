@@ -438,41 +438,116 @@ let test_tracer_marks_malice () =
   Alcotest.(check bool) "malicious drops visible" true
     (List.exists (fun line -> contains line "MALICIOUS-drop") (probe_lines p))
 
-(* --- always-on counters agree with the probe --- *)
+(* --- always-on counters: every outcome counted once, read by the probe --- *)
 
-(* One run with every drop cause: RED early and forced drops at the
-   congested 0->1 queue, a 0.5 s outage of 2->1, corruption on 2->3
-   and a router that drops a tenth of its transit. *)
-let all_causes_run ~shards ~probe =
+(* One run in which every counted outcome happens: RED early and forced
+   drops at the congested 0->1 queue, a 0.5 s outage of 2->1,
+   corruption on 2->3, a router 1 that drops a tenth of its transit, a
+   router 2 that modifies and delays some packets, fragments a 1500 B
+   flow at its 1200 B MTU and fabricates one packet, plus a unicast
+   and a multicast packet whose TTL runs out at router 2, and two that
+   router 3 cannot forward: one with no next hop and one whose next hop
+   has no interface.
+   [setup] runs before any traffic, after the probe is attached.
+   Returns the network and the number of packets originated. *)
+let all_causes_run ?(setup = ignore) ~shards ~probe () =
   let g = Gen.line ~n:4 in
   let net =
     Net.create ~seed:5 ~jitter_bound:100e-6 ~queue:(Net.Red Red.default_params)
       ~shards g
   in
   Net.set_probe net probe;
-  Net.use_routing net (Rt.compute g);
-  ignore (Flow.cbr net ~src:0 ~dst:3 ~rate_pps:2500.0 ~size:1000 ~start:0.0 ~stop:3.0);
-  ignore (Flow.cbr net ~src:3 ~dst:0 ~rate_pps:300.0 ~size:500 ~start:0.0 ~stop:3.0);
+  setup net;
+  let rt = Rt.compute g in
+  Net.use_routing net rt;
+  Router.set_forwarding (Net.router net 3) (fun ~prev:_ pkt ->
+      match pkt.Packet.flow with 777 -> None | 778 -> Some 0 | _ -> Some 2);
+  let group = 100 in
+  Net.add_multicast_route net ~router:3 ~group ~next_hops:[ 2 ] ~local:false;
+  Net.add_multicast_route net ~router:2 ~group ~next_hops:[ 1 ] ~local:true;
+  let flows =
+    [ Flow.cbr net ~src:0 ~dst:3 ~rate_pps:2500.0 ~size:1000 ~start:0.0 ~stop:3.0;
+      Flow.cbr net ~src:3 ~dst:0 ~rate_pps:300.0 ~size:500 ~start:0.0 ~stop:3.0;
+      Flow.cbr net ~src:1 ~dst:3 ~rate_pps:20.0 ~size:1500 ~start:0.0 ~stop:3.0 ]
+  in
   Net.set_link_corruption net ~src:2 ~dst:3 0.05;
   Router.set_behavior (Net.router net 1) (Core.Adversary.drop_fraction ~seed:3 0.1);
+  Router.set_behavior (Net.router net 2) (fun _ pkt ->
+      match pkt.Packet.uid mod 97 with
+      | 0 -> Router.Modify 7L
+      | 1 -> Router.Delay 0.002
+      | _ -> Router.Forward);
+  Router.set_mtu (Net.router net 2) (Some 1200);
   let sim = Net.sim net in
+  let packet ~src ~dst ~flow ?ttl () =
+    Packet.make ~sim ~src ~dst ~flow ~size:100 ?ttl Packet.Udp
+  in
+  Sim.schedule sim ~delay:0.5 (fun () ->
+      Router.fabricate (Net.router net 2) ~next:1 (packet ~src:3 ~dst:0 ~flow:776 ());
+      List.iter (Net.originate net)
+        [ packet ~src:3 ~dst:0 ~flow:779 ~ttl:1 ();
+          packet ~src:3 ~dst:group ~flow:780 ~ttl:1 ();
+          packet ~src:3 ~dst:0 ~flow:777 ();
+          packet ~src:3 ~dst:0 ~flow:778 () ]);
   Sim.schedule sim ~delay:1.0 (fun () -> Net.fail_link net ~src:2 ~dst:1);
   Sim.schedule sim ~delay:1.5 (fun () -> Net.restore_link net ~src:2 ~dst:1);
   Net.run ~until:3.5 net;
-  net
+  (net, List.fold_left (fun acc f -> acc + Flow.sent f) 4 flows)
 
 let counter_totals net =
-  let sum f = List.fold_left (fun acc i -> acc + f i) 0 (Net.ifaces net) in
-  [ ("congestion", sum Iface.congestion_drops);
-    ("red_early", sum Iface.red_early_drops);
-    ("link_down", sum Iface.link_down_drops);
-    ("corrupted", sum Iface.corrupted_drops);
-    ("malicious",
-     List.fold_left
-       (fun acc r -> acc + Router.malicious_drops (Net.router net r))
-       0 (List.init 4 Fun.id));
-    ("enqueued", sum Iface.enqueued_packets);
-    ("dropped", sum Iface.dropped_packets) ]
+  let on_ifaces f = List.fold_left (fun acc i -> acc + f i) 0 (Net.ifaces net) in
+  let on_routers f =
+    List.fold_left (fun acc r -> acc + f r) 0 (List.init 4 (Net.router net))
+  in
+  [ ("congestion", on_ifaces Iface.congestion_drops);
+    ("red_early", on_ifaces Iface.red_early_drops);
+    ("link_down", on_ifaces Iface.link_down_drops);
+    ("corrupted", on_ifaces Iface.corrupted_drops);
+    ("malicious", on_routers Router.malicious_drops);
+    ("no_route", on_routers Router.no_route_drops);
+    ("ttl_expired", on_routers Router.ttl_expired_drops);
+    ("enqueued", on_ifaces Iface.enqueued_packets);
+    ("hops", on_ifaces Iface.delivered_packets);
+    ("delivered", on_routers Router.delivered_packets);
+    ("originated", on_routers Router.originated_packets);
+    ("fabricated", on_routers Router.fabricated_packets);
+    ("fragmented", on_routers Router.fragmented_packets);
+    ("fragments", on_routers Router.fragments_created);
+    ("modified", on_routers Router.modified_packets);
+    ("delayed", on_routers Router.delayed_packets);
+    ("dropped", on_ifaces Iface.dropped_packets) ]
+
+(* The independent reference: every wire event a listener sees, tallied
+   by kind (and malice by router). *)
+let subscribe_tally tally net =
+  let bump key n =
+    Hashtbl.replace tally key (n + Option.value ~default:0 (Hashtbl.find_opt tally key))
+  in
+  Net.subscribe_iface net (fun ev ->
+      match ev.Net.kind with
+      | Iface.Enqueued _ -> bump "enqueued" 1
+      | Iface.Drop_congestion _ -> bump "congestion" 1
+      | Iface.Drop_red_early _ -> bump "red_early" 1
+      | Iface.Drop_link_down _ -> bump "link_down" 1
+      | Iface.Drop_corrupted _ -> bump "corrupted" 1
+      | Iface.Transmit_start _ -> ()
+      | Iface.Delivered _ -> bump "hops" 1);
+  Net.subscribe_router net (fun ev ->
+      let malice key =
+        bump key 1;
+        bump (Printf.sprintf "malice r%d" ev.Net.router) 1
+      in
+      match ev.Net.kind with
+      | Router.Malicious_drop _ -> malice "malicious"
+      | Router.Malicious_modify _ -> malice "modified"
+      | Router.Malicious_delay _ -> malice "delayed"
+      | Router.Fabricated _ -> malice "fabricated"
+      | Router.Fragmented { fragments; _ } ->
+          bump "fragmented" 1;
+          bump "fragments" fragments
+      | Router.No_route _ -> bump "no_route" 1
+      | Router.Ttl_expired _ -> bump "ttl_expired" 1
+      | Router.Delivered_local _ -> bump "delivered" 1)
 
 let probe_counter p name labels =
   match
@@ -486,32 +561,80 @@ let probe_counter p name labels =
   | Some c -> c
   | None -> Alcotest.failf "no counter %s" name
 
+(* Each counted outcome, with the probe series that views it. *)
+let probe_series =
+  List.map
+    (fun c -> (c, ("pkt_dropped_total", [ ("cause", c) ])))
+    [ "congestion"; "red_early"; "link_down"; "corrupted"; "malicious"; "no_route";
+      "ttl_expired" ]
+  @ [ ("enqueued", ("pkt_enqueued_total", []));
+      ("hops", ("pkt_forwarded_hops_total", []));
+      ("delivered", ("pkt_delivered_total", []));
+      ("originated", ("pkt_injected_total", []));
+      ("fabricated", ("pkt_fabricated_total", []));
+      ("fragmented", ("pkt_fragmented_total", []));
+      ("fragments", ("pkt_fragments_total", []));
+      ("modified", ("malicious_modify_total", []));
+      ("delayed", ("malicious_delay_total", [])) ]
+
 let check_counters_agree shards () =
   let p = Probe.create () in
-  let net = all_causes_run ~shards ~probe:(Some p) in
+  let tally = Hashtbl.create 16 in
+  let net, originated =
+    all_causes_run ~setup:(subscribe_tally tally) ~shards ~probe:(Some p) ()
+  in
+  Hashtbl.replace tally "originated" originated;
   let totals = counter_totals net in
-  let causes = [ "congestion"; "red_early"; "link_down"; "corrupted"; "malicious" ] in
+  let seen key = Option.value ~default:0 (Hashtbl.find_opt tally key) in
   List.iter
-    (fun cause ->
-      let mine = List.assoc cause totals in
-      Alcotest.(check bool) (cause ^ " happened") true (mine > 0);
-      Alcotest.(check int) cause
-        (probe_counter p "pkt_dropped_total" [ ("cause", cause) ]) mine)
-    causes;
-  Alcotest.(check int) "enqueued"
-    (probe_counter p "pkt_enqueued_total" []) (List.assoc "enqueued" totals);
+    (fun (key, (name, labels)) ->
+      let mine = List.assoc key totals in
+      Alcotest.(check bool) (key ^ " happened") true (mine > 0);
+      Alcotest.(check int) (key ^ " vs tally") (seen key) mine;
+      Alcotest.(check int) (key ^ " vs probe") (probe_counter p name labels) mine)
+    probe_series;
+  List.iter
+    (fun r ->
+      let key = Printf.sprintf "malice r%d" r in
+      Alcotest.(check bool) (key ^ " happened") true (seen key > 0);
+      Alcotest.(check int) key (seen key)
+        (probe_counter p "malice_events_total" [ ("router", string_of_int r) ]))
+    [ 1; 2 ];
   Alcotest.(check int) "dropped_packets is the per-cause sum"
     (List.fold_left
-       (fun acc c -> if c = "malicious" then acc else acc + List.assoc c totals)
-       0 causes)
+       (fun acc c -> acc + List.assoc c totals)
+       0 [ "congestion"; "red_early"; "link_down"; "corrupted" ])
     (List.assoc "dropped" totals)
 
 let test_counters_unobserved () =
   (* The classic engine runs the same events with or without a probe,
      and the counters do not depend on anything observing them. *)
-  let observed = counter_totals (all_causes_run ~shards:0 ~probe:(Some (Probe.create ()))) in
-  let bare = counter_totals (all_causes_run ~shards:0 ~probe:None) in
-  Alcotest.(check (list (pair string int))) "same counts" observed bare
+  let observed, _ = all_causes_run ~shards:0 ~probe:(Some (Probe.create ())) () in
+  let bare, _ = all_causes_run ~shards:0 ~probe:None () in
+  Alcotest.(check (list (pair string int))) "same counts" (counter_totals observed)
+    (counter_totals bare)
+
+(* The probe's series are views over the whole run, and observation
+   elision is fixed before it starts: attaching (or detaching) a probe
+   once events have run is refused. *)
+let test_set_probe_after_run () =
+  List.iter
+    (fun shards ->
+      let g = Gen.line ~n:3 in
+      let net = Net.create ~shards g in
+      Net.use_routing net (Rt.compute g);
+      Net.set_probe net (Some (Probe.create ()));
+      ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:100.0 ~size:200 ~start:0.0 ~stop:0.5);
+      Net.run ~until:1.0 net;
+      Alcotest.check_raises
+        (Printf.sprintf "K=%d attach" shards)
+        (Invalid_argument "Net.set_probe: the engine has already processed events")
+        (fun () -> Net.set_probe net (Some (Probe.create ())));
+      Alcotest.check_raises
+        (Printf.sprintf "K=%d detach" shards)
+        (Invalid_argument "Net.set_probe: the engine has already processed events")
+        (fun () -> Net.set_probe net None))
+    [ 0; 2 ]
 
 (* --- TCP --- *)
 
@@ -752,7 +875,9 @@ let () =
       ( "counters",
         [ Alcotest.test_case "agree with probe K=0" `Quick (check_counters_agree 0);
           Alcotest.test_case "agree with probe K=2" `Quick (check_counters_agree 2);
-          Alcotest.test_case "unobserved" `Quick test_counters_unobserved ] );
+          Alcotest.test_case "unobserved" `Quick test_counters_unobserved;
+          Alcotest.test_case "set_probe refused after events" `Quick
+            test_set_probe_after_run ] );
       ( "tcp",
         [ Alcotest.test_case "completes" `Quick test_tcp_completes_transfer;
           Alcotest.test_case "goodput" `Quick test_tcp_goodput_bounded;

@@ -345,13 +345,12 @@ let prop_chi_sound_and_complete =
 
 (* --- Telemetry merge laws --- *)
 
-(* The sharded engine's epoch-barrier aggregation depends on Hist and
-   Timeseries merges being exact integer arithmetic: commutative and
-   associative, so any grouping of per-shard collectors produces the
-   same bytes.  Compare full observable state, not just totals. *)
+(* The robustness oracle folds per-trial latency histograms together,
+   so Hist merges must be exact integer arithmetic: commutative and
+   associative, so any grouping produces the same bytes.  Compare full
+   observable state, not just totals. *)
 
 module Hist = Telemetry.Hist
-module Ts = Telemetry.Timeseries
 
 let sample_gen = QCheck.(list_of_size Gen.(0 -- 60) (float_range (-2.0) 900.0))
 
@@ -381,42 +380,6 @@ let prop_hist_merge_associative =
       and hc = hist_of_values c in
       hist_state (Hist.merge (Hist.merge ha hb) hc)
       = hist_state (Hist.merge ha (Hist.merge hb hc)))
-
-(* Timed samples spread far enough to force coarsening on some inputs,
-   so the law is exercised across mismatched levels too. *)
-let timed_gen =
-  QCheck.(
-    list_of_size
-      Gen.(0 -- 60)
-      (pair (float_range 0.0 40.0) (float_range (-1.0) 50.0)))
-
-let ts_of_samples samples =
-  let ts = Ts.create ~capacity:8 ~resolution:1.0 () in
-  List.iter (fun (time, v) -> Ts.record ts ~time v) samples;
-  ts
-
-let ts_state ts =
-  ( Ts.level ts,
-    Ts.used ts,
-    Array.init (Ts.used ts) (Ts.bucket_count ts),
-    Array.init (Ts.used ts) (Ts.bucket_sum ts) )
-
-let prop_ts_merge_commutative =
-  QCheck.Test.make ~name:"timeseries merge is commutative" ~count:300
-    QCheck.(pair timed_gen timed_gen)
-    (fun (a, b) ->
-      let ta = ts_of_samples a and tb = ts_of_samples b in
-      ts_state (Ts.merge ta tb) = ts_state (Ts.merge tb ta))
-
-let prop_ts_merge_associative =
-  QCheck.Test.make ~name:"timeseries merge is associative" ~count:300
-    QCheck.(triple timed_gen timed_gen timed_gen)
-    (fun (a, b, c) ->
-      let ta = ts_of_samples a
-      and tb = ts_of_samples b
-      and tc = ts_of_samples c in
-      ts_state (Ts.merge (Ts.merge ta tb) tc)
-      = ts_state (Ts.merge ta (Ts.merge tb tc)))
 
 (* --- Meter --- *)
 
@@ -502,6 +465,5 @@ let () =
       ("chi", List.map to_alco [ prop_chi_sound_and_complete ]);
       ( "telemetry-merge",
         List.map to_alco
-          [ prop_hist_merge_commutative; prop_hist_merge_associative;
-            prop_ts_merge_commutative; prop_ts_merge_associative ] );
+          [ prop_hist_merge_commutative; prop_hist_merge_associative ] );
       ("meter", List.map to_alco [ prop_meter_totals ]) ]

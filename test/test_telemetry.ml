@@ -428,7 +428,8 @@ let prop_hist_roundtrip =
    events_per_cpu_second), re-emitted through Export so the digest does
    not depend on anything but content.  The digests were recorded from a
    known-good build: a mismatch means an exported byte moved. *)
-let run_quiet_metrics ~shards ~suffix =
+let run_quiet_metrics ?(protocol = "fatih") ?(topo = Experiments.Simulate.Ring) ~shards
+    ~suffix () =
   let path = Filename.temp_file "mrdetect_pin" suffix in
   let devnull = open_out "/dev/null" in
   let stdout_backup = Unix.dup Unix.stdout in
@@ -442,8 +443,8 @@ let run_quiet_metrics ~shards ~suffix =
       close_out devnull)
     (fun () ->
       Experiments.Simulate.run
-        (Experiments.Simulate.Config.make_exn ~protocol:"fatih" ~duration:12.0
-           ~seed:7 ~metrics:path ~shards Experiments.Simulate.Ring));
+        (Experiments.Simulate.Config.make_exn ~protocol ~duration:12.0 ~seed:7
+           ~metrics:path ~shards topo));
   let text = In_channel.with_open_bin path In_channel.input_all in
   Sys.remove path;
   text
@@ -465,11 +466,11 @@ let without_wall_clock doc =
            kvs)
   | j -> j
 
-let check_export_pin ~shards ~prom ~json () =
-  let prom_text = run_quiet_metrics ~shards ~suffix:".prom" in
+let check_export_pin ?protocol ?topo ~shards ~prom ~json () =
+  let prom_text = run_quiet_metrics ?protocol ?topo ~shards ~suffix:".prom" () in
   Alcotest.(check string) "prometheus text digest" prom
     (Digest.to_hex (Digest.string prom_text));
-  match Export.of_string (run_quiet_metrics ~shards ~suffix:".json") with
+  match Export.of_string (run_quiet_metrics ?protocol ?topo ~shards ~suffix:".json" ()) with
   | Error e -> Alcotest.failf "metrics file is not valid JSON: %s" e
   | Ok doc ->
       Alcotest.(check string) "json digest" json
@@ -597,6 +598,15 @@ let () =
          Alcotest.test_case "metrics export pinned K=2" `Quick
            (check_export_pin ~shards:2 ~prom:"2470915eacf0669e01ca39ad7d9300e3"
               ~json:"d8a2dceee4cdbf302ec26fc4e5a552f7");
+         Alcotest.test_case "metrics export pinned K=1" `Quick
+           (check_export_pin ~shards:1 ~prom:"2470915eacf0669e01ca39ad7d9300e3"
+              ~json:"172e167a230fc4585ad6dad7fb8d8f6e");
+         Alcotest.test_case "metrics export pinned K=4" `Quick
+           (check_export_pin ~shards:4 ~prom:"2470915eacf0669e01ca39ad7d9300e3"
+              ~json:"645cf28a08d5336715f9c6ff74e54b9a");
+         Alcotest.test_case "metrics export pinned grid chi K=2" `Quick
+           (check_export_pin ~protocol:"chi" ~topo:Experiments.Simulate.Grid ~shards:2
+              ~prom:"1e06de27ca6481232c889d3fb464e784" ~json:"0b9fd623b92c552e3273c692ca9770f7");
          Alcotest.test_case "journal and trace pinned" `Quick
            (check_journal_pin ~chaos:false ~stdout_md5:"723a9090923bfd675ccaed980c2a1462"
               ~journal_md5:"0b1bc956f87a7bf6f0e776a799d9eae4");
